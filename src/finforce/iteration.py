@@ -27,6 +27,7 @@ from .models import BorelPosetModel
 from .posets import (
     EmbeddingReport,
     FinitePoset,
+    _bool_product,
     admissible_filters_upsets,
     check_complete_embedding_posets,
 )
@@ -629,29 +630,82 @@ class SimpleIteration:
             tuple((self.rank[x], entry_sort_key(e)) for x, e in p.entries),
         )
 
-    def build_poset(self, a: Subset, widened: bool = False) -> FinitePoset:
-        """Materialize P*|A (or the widened P|A) with its semantic order."""
-        key = (a, widened)
-        if key in self._built:
-            return self._built[key]
-        elems = self.members(a, widened)
-        n = len(elems)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, q in enumerate(elems):
-            for j, p in enumerate(elems):
-                if p.domain <= q.domain:
-                    leq[i, j] = self._order_leq(a, q, p, widened)
-        poset = FinitePoset(elems, leq, EMPTY_CONDITION)
-        self._built[key] = poset
+    def build_poset(self, a: Subset) -> FinitePoset:
+        """Materialize P*|A with its semantic order.  The widened P|A can be
+        a preorder only, so it is never built (see `check_density_pstar`)."""
+        if a in self._built:
+            return self._built[a]
+        elems = self.members(a)
+        poset = FinitePoset(elems, self._order_matrix(a, elems), EMPTY_CONDITION)
+        self._built[a] = poset
         return poset
+
+    def _order_matrix(self, a: Subset, elems: list[Condition]) -> np.ndarray:
+        """leq[i, j] iff elems[i] <= elems[j], tabulated stage by stage.
+
+        Unrolled, the recursion of `_order_leq` reads: q <= p iff dom p is
+        contained in dom q and, at every x in dom p, every generic of
+        A & L_x whose filter contains q|<x interprets q(x) below p(x).  Per
+        x this takes filter membership of the distinct restrictions q|<x and
+        the stage order of the entries that occur, both per generic; one
+        boolean product joins them.
+
+        An entry is interpreted only on generics whose filter contains the
+        restriction of a member carrying it, which are the cells the
+        recursion visits on reflexive pairs.  A generic on which p(x) goes
+        uninterpreted for that reason counts against q <= p; in a sound
+        order q|<x <= p|<x fails there already.
+        """
+        rank = self.rank
+        dom = np.zeros((len(elems), len(rank)), dtype=bool)
+        for i, p in enumerate(elems):
+            dom[i, [rank[y] for y, _ in p.entries]] = True
+        leq = ~_bool_product(~dom, dom.T)
+        for x in self.points_of(a):
+            has = np.flatnonzero(dom[:, rank[x]])
+            if not len(has):
+                continue
+            below = self.past_in(a, x)
+            gens = self.enumerate_generics(below)
+            restrictions: dict[Condition, int] = {}
+            entries: dict[Entry, int] = {}
+            r_idx, e_idx = [], []
+            for i in has:
+                q = elems[i]
+                r_idx.append(restrictions.setdefault(q.before(x, rank), len(restrictions)))
+                e_idx.append(entries.setdefault(q.get(x), len(entries)))
+            filt = np.array(
+                [[self.member_of_filter(z, r) for z in gens] for r in restrictions], dtype=bool
+            )
+            carried = np.zeros((len(entries), len(gens)), dtype=bool)
+            for r, e in set(zip(r_idx, e_idx)):
+                carried[e] |= filt[r]
+            palette = list(entries)
+            m = len(palette)
+            bad = np.ones((len(gens), m, m), dtype=bool)
+            for g, z in enumerate(gens):
+                live = np.flatnonzero(carried[:, g])
+                for e in live:
+                    for e2 in live:
+                        bad[g, e, e2] = not self._stage_leq(x, below, z, palette[e], palette[e2])
+            stage_bad = _bool_product(filt, bad.reshape(len(gens), m * m))
+            r_idx, e_idx = np.array(r_idx), np.array(e_idx)
+            leq[np.ix_(has, has)] &= ~stage_bad[r_idx[:, None], e_idx[:, None] * m + e_idx]
+        return leq
 
     # -- structural checks ----------------------------------------------------
 
     def check_density_pstar(self, a: Subset) -> tuple[bool, Condition | None]:
-        """Every condition of the widened P|A must have a P*|A extension."""
-        star = self.members(a, widened=False)
-        for p in self.members(a, widened=True):
-            if not any(self._order_leq(a, q, p, widened=True) for q in star):
+        """Every condition of the widened P|A must have a P*|A extension.
+
+        The widened order is read from the raw matrix: on widened entries it
+        can be a preorder only, which `FinitePoset` rejects."""
+        wide = self.members(a, widened=True)
+        index = {p: i for i, p in enumerate(wide)}
+        rows = [index[q] for q in self.members(a, widened=False)]
+        extended = self._order_matrix(a, wide)[rows].any(axis=0)
+        for p, ok in zip(wide, extended):
+            if not ok:
                 return False, p
         return True, None
 

@@ -5,6 +5,13 @@ systems are all decided by exhaustive matrix computations.  In a finite
 poset a filter meets every maximal antichain exactly when it is the up-set
 of a minimal element, which is what makes the brute-force genericity
 oracle (`admissible_filters_upsets`) sound.
+
+Every boolean matrix product goes through `_bool_product`, one float32
+BLAS product.  Its entries count witnesses: integers no larger than the
+inner dimension.  float32 represents every integer below 2**24 exactly,
+and a partial sum of such counts stays an integer below that bound, so
+every sum is exact in any summation order and ``> 0`` is the boolean
+product.  The helper refuses inner dimensions of 2**24 or more.
 """
 
 from __future__ import annotations
@@ -15,6 +22,17 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 Element = Hashable
+
+_FLOAT32_EXACT = 1 << 24
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j] iff a[i, k] and b[k, j] for some k, for 0/1 matrices."""
+    if a.shape[1] >= _FLOAT32_EXACT:
+        raise ValueError(
+            f"inner dimension {a.shape[1]} is not below 2**24, where float32 counts stay exact"
+        )
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 class FinitePoset:
@@ -33,7 +51,7 @@ class FinitePoset:
             raise ValueError(f"order matrix shape {leq.shape} does not match {n} elements")
         if not leq[np.diag_indices(n)].all():
             raise ValueError("order is not reflexive")
-        if ((leq @ leq) & ~leq).any():
+        if (_bool_product(leq, leq) & ~leq).any():
             raise ValueError("order is not transitive")
         if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
             raise ValueError("order is not antisymmetric")
@@ -58,7 +76,7 @@ class FinitePoset:
         for a, b in pairs:
             leq[idx[a], idx[b]] = True
         for _ in range(n):
-            new = leq | (leq @ leq)
+            new = leq | _bool_product(leq, leq)
             if (new == leq).all():
                 break
             leq = new
@@ -78,7 +96,7 @@ class FinitePoset:
         """compat[i, j] iff some r lies below both i and j."""
         if self._compat is None:
             d = self.leq_matrix
-            self._compat = (d.T.astype(np.int32) @ d.astype(np.int32)) > 0
+            self._compat = _bool_product(d.T, d)
             self._compat.setflags(write=False)
         return self._compat
 
@@ -210,8 +228,7 @@ def _reduction_matrix(
 
     ``sub_order`` is the sub poset's order; ``compat_in_sup`` maps (sub
     element, sup element) pairs to compatibility in the super poset."""
-    bad = sub_order.T.astype(np.int32) @ (~compat_in_sup).astype(np.int32)
-    return bad == 0
+    return ~_bool_product(sub_order.T, ~compat_in_sup)
 
 
 def check_complete_embedding_posets(sub: FinitePoset, sup: FinitePoset) -> EmbeddingReport:
@@ -279,8 +296,7 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     p1_in_q1 = np.array([s.q1.index[e] for e in s.p1.elements])
     q0_in_q1 = np.array([s.q1.index[e] for e in s.q0.elements])
     compat1 = s.q1.compat_matrix[np.ix_(p1_in_q1, q0_in_q1)]
-    bad1 = s.p1.leq_matrix[:, p0_in_p1].T.astype(np.int32) @ (~compat1).astype(np.int32)
-    red1 = bad1 == 0
+    red1 = ~_bool_product(s.p1.leq_matrix[:, p0_in_p1].T, ~compat1)
     broken = np.argwhere(red0 & ~red1)
     for i, j in broken[:8]:
         failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))

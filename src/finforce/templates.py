@@ -10,6 +10,7 @@ every later recursion (membership, histories, code synthesis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Point = str
@@ -26,7 +27,7 @@ class LinearOrder:
         if len(set(self.points)) != len(self.points):
             raise ValueError(f"duplicate points in order: {self.points}")
 
-    @property
+    @cached_property
     def rank(self) -> dict[Point, int]:
         return {x: i for i, x in enumerate(self.points)}
 

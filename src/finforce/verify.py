@@ -13,13 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codes import (
-    IllFormedComposition,
-    eval_code,
-    eval_fcode_detailed,
-    free_components,
-    free_components_fcode,
-)
+from .codes import IllFormedComposition, eval_code, eval_fcode_detailed
 from .history import (
     enumerate_points,
     history_of_condition,
@@ -37,7 +31,7 @@ from .models import check_nice_subposet
 from .names import RealName
 from .posets import CorrectSystem, check_correct_system
 from .synth import case2_contexts, synth_E, synth_F
-from .templates import Subset
+from .templates import Subset, _all_subsets as _powerset
 
 
 @dataclass
@@ -97,11 +91,7 @@ class Report:
 
 
 def _all_subsets(it: SimpleIteration) -> list[Subset]:
-    pts = it.template.points
-    subs = [frozenset()]
-    for x in pts:
-        subs += [s | {x} for s in subs]
-    return it.template.sorted_subsets(subs)
+    return it.template.sorted_subsets(_powerset(it.template.all_points()))
 
 
 def verify_main_theorem(
@@ -116,7 +106,7 @@ def verify_main_theorem(
 
     Beyond ``max_generics`` sequences the sweep runs on a seeded sample and
     the report is labeled sampled."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="main_theorem", names=len(names))
     full = it.template.all_points()
@@ -180,7 +170,7 @@ def verify_main_theorem(
                 rep.failures.append(
                     Failure("name-evaluation", "", label, str(zbar), str(tuple(direct_vals)), str(got))
                 )
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -189,7 +179,7 @@ def verify_history_invariance(
 ) -> Report:
     """Histories computed relative to nested ambient sets must coincide, and
     the A'-choice inside the recursion must be immaterial."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="history_invariance", names=len(names))
     subsets = _all_subsets(it)
@@ -232,7 +222,7 @@ def verify_history_invariance(
                     rep.failures.append(
                         Failure("history-name", "", label, f"A={sorted(a)}", str(h_full), str(h_a))
                     )
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -242,7 +232,7 @@ def verify_well_definedness(
     """Codes synthesized relative to nested ambient sets, and under every
     admissible delegation choice, must be semantically equal on the
     condition's whole tuple space."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="well_definedness", names=len(names))
     subsets = _all_subsets(it)
@@ -307,13 +297,13 @@ def verify_well_definedness(
                             Failure("fcode-ambient", "", label, f"A={sorted(a)} at {pt}", str(v1), str(v2))
                         )
                         break
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def verify_density(it: SimpleIteration) -> Report:
     """P* must be dense in the widened iteration over every subset."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = Report(check="density")
     for a in _all_subsets(it):
         rep.checked += 1
@@ -322,13 +312,13 @@ def verify_density(it: SimpleIteration) -> Report:
             rep.failures.append(
                 Failure("density", str(witness), "", f"A={sorted(a)}", "extension in P*", "none")
             )
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
 def verify_embeddings(it: SimpleIteration) -> Report:
     """Complete embeddings along every nested pair of the subset lattice."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = Report(check="embeddings")
     subsets = _all_subsets(it)
     for small in subsets:
@@ -344,7 +334,7 @@ def verify_embeddings(it: SimpleIteration) -> Report:
                             "complete", str(emb.failures[:3]),
                         )
                     )
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -352,7 +342,7 @@ def verify_nice_and_correct(it: SimpleIteration) -> Report:
     """Every subposet value of every R-coordinate table must satisfy the
     E-characterization on its restricted generic space, and every four-poset
     system generated from the subset lattice must be correct."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = Report(check="nice_and_correct")
     for x in it.template.points:
         asg = it.assignments[x]
@@ -388,7 +378,7 @@ def verify_nice_and_correct(it: SimpleIteration) -> Report:
                                 "correct", str(res.failures[:3]),
                             )
                         )
-    rep.seconds = time.time() - t0
+    rep.seconds = time.perf_counter() - t0
     return rep
 
 

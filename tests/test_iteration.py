@@ -1,8 +1,12 @@
 """Membership, order, interpretation, materialization and the structural
 checks of simple iterations, on the shipped fixtures."""
 
+from importlib import resources
+
+import numpy as np
 import pytest
 
+from finforce import fixtures
 from finforce.iteration import (
     EMPTY_CONDITION,
     TRIV,
@@ -13,6 +17,9 @@ from finforce.iteration import (
     interpret_name,
     realize_filter,
 )
+from finforce.models import cohen
+from finforce.synth import encode_fsi
+from finforce.workdoc import load_doc
 
 
 def all_subsets(points):
@@ -231,6 +238,55 @@ class TestDensity:
         for a in all_subsets(it.template.points):
             ok, _ = it.check_density_pstar(a)
             assert ok
+
+
+def _pairwise_order(it, a, elems, widened):
+    """The order matrix by the recursion, pair by pair: the reference for
+    the stage-by-stage tabulation."""
+    n = len(elems)
+    leq = np.zeros((n, n), dtype=bool)
+    for i, q in enumerate(elems):
+        for j, p in enumerate(elems):
+            if p.domain <= q.domain:
+                leq[i, j] = it._order_leq(a, q, p, widened)
+    return leq
+
+
+def _shipped_iteration(name):
+    return load_doc(str(resources.files("finforce").joinpath("workdocs", name))).iteration
+
+
+class TestOrderMatrix:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fixtures.i1().iteration,
+            lambda: fixtures.fsi2_cohen_cohen()[0],
+            lambda: fixtures.fsi2_cohen_c()[0],
+            lambda: fixtures.fsi3_cohen()[0],
+            lambda: fixtures.case2_fixture()[0],
+            lambda: _shipped_iteration("i1.json"),
+            lambda: _shipped_iteration("fsi2_cc.json"),
+            lambda: _shipped_iteration("fsi2_cohen_c.json"),
+        ],
+        ids=["i1", "fsi2_cohen_cohen", "fsi2_cohen_c", "fsi3_cohen", "case2",
+             "doc_i1", "doc_fsi2_cc", "doc_fsi2_cohen_c"],
+    )
+    def test_tabulation_matches_recursion(self, make):
+        it = make()
+        for a in all_subsets(it.template.points):
+            for widened in (False, True):
+                elems = it.members(a, widened)
+                expect = _pairwise_order(it, a, elems, widened)
+                got = it._order_matrix(a, elems)
+                assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
+
+    def test_fsi_closed_form(self):
+        k = 5
+        it = encode_fsi([{"kind": "B", "model": cohen(1, 2)}] * k)
+        poset = it.build_poset(it.template.all_points())
+        assert len(poset.elements) == 4**k
+        assert int(poset.leq_matrix.sum()) == 9**k
 
 
 class TestEmbeddings:

@@ -10,6 +10,7 @@ from finforce.models import cohen, ed
 from finforce.posets import (
     CorrectSystem,
     FinitePoset,
+    _bool_product,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     check_correct_system,
@@ -20,6 +21,26 @@ from finforce.posets import (
     is_reduction,
     maximal_antichains,
 )
+
+
+class TestBoolProduct:
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (0, 4, 6), (6, 4, 0), (3, 0, 2), (40, 40, 40)])
+    def test_matches_integer_reference(self, shape):
+        rows, inner, cols = shape
+        rng = np.random.default_rng(rows * 100 + inner * 10 + cols)
+        a = rng.random((rows, inner)) < 0.3
+        b = rng.random((inner, cols)) < 0.3
+        expect = (a.astype(np.int64) @ b.astype(np.int64)) > 0
+        got = _bool_product(a, b)
+        assert got.dtype == bool and got.shape == (rows, cols)
+        assert (got == expect).all()
+
+    def test_refuses_inner_dimension_of_two_to_the_24(self):
+        inner = 1 << 24
+        a = np.broadcast_to(np.zeros(1, dtype=bool), (1, inner))
+        b = np.broadcast_to(np.zeros((1, 1), dtype=bool), (inner, 1))
+        with pytest.raises(ValueError, match=r"2\*\*24"):
+            _bool_product(a, b)
 
 
 def vee_poset():
