@@ -68,7 +68,19 @@ def history_of_condition(
 
     ``context_override`` forces the A'-choice at the top recursion step
     only; the invariance checks use it to confirm the choice is immaterial.
+    Without it the history is computed once per (A, p).
     """
+    if context_override is not None:
+        return _history_of_condition(it, a, p, context_override)
+    h = it._history_memo.get((a, p))
+    if h is None:
+        h = it._history_memo[(a, p)] = _history_of_condition(it, a, p, None)
+    return h
+
+
+def _history_of_condition(
+    it: SimpleIteration, a: Subset, p: Condition, context_override: Subset | None
+) -> History:
     if p.is_empty():
         return EMPTY_HISTORY
     if not it.member_pstar(a, p):

@@ -286,7 +286,8 @@ def _zvalue_label(v: Any) -> str:
 
 class SimpleIteration:
     """A validated template plus coordinate assignments, with memoized
-    membership, order, generic enumeration and built posets."""
+    membership, order, generic enumeration and built posets, and the memos
+    that `synth` and `history` keep per iteration."""
 
     def __init__(
         self,
@@ -315,7 +316,10 @@ class SimpleIteration:
         self._built: dict = {}
         self._palette_memo: dict = {}
         self._r_entry_memo: dict = {}
+        self._context_memo: dict = {}
         self._small_posets: dict = {}
+        self._synth_memo: dict = {}  # synth: membership codes and entry tables
+        self._history_memo: dict = {}  # history: H and W per (A, p)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -370,18 +374,21 @@ class SimpleIteration:
         memo[key] = ok
         return ok
 
-    def entry_contexts(self, a: Subset, p: Condition, widened: bool = False) -> list[Subset]:
+    def entry_contexts(self, a: Subset, p: Condition, widened: bool = False) -> tuple[Subset, ...]:
         """All A' from the trace at max(dom p) that admit p: the restriction
         below max(dom p) is a member over A' and the top entry is valid."""
+        key = (a, p, widened)
+        if key in self._context_memo:
+            return self._context_memo[key]
         x = self.template.order.max_of(p.domain)
         rest = p.before(x, self.rank)
         entry = p.get(x)
-        out = []
-        for a2 in self.template.sorted_subsets(trace_family(self.template, x, a)):
-            if not self.member_pstar(a2, rest, widened):
-                continue
-            if self._entry_ok(x, entry, a2, widened):
-                out.append(a2)
+        out = tuple(
+            a2
+            for a2 in self.template.sorted_subsets(trace_family(self.template, x, a))
+            if self.member_pstar(a2, rest, widened) and self._entry_ok(x, entry, a2, widened)
+        )
+        self._context_memo[key] = out
         return out
 
     def canonical_context(self, a: Subset, p: Condition, widened: bool = False) -> Subset:

@@ -5,13 +5,14 @@ A name is a finite list of maximal antichains with a value map on each
 member.  `decide_forces_value` and `decide_forces_in_tree` decide forcing
 by compatibility alone; on finite posets they agree exactly with
 quantification over the fully generic filters (the up-sets of minimal
-elements), which the test suite verifies.
+elements), which the test suite verifies.  Answers that depend on the
+poset are cached on the poset itself, so they live exactly as long as it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,6 +56,19 @@ class RealName:
         return cls(tuple(antichains), tuple(values))
 
 
+def _per_poset(fn):
+    """Memoize fn(p, *args) on the poset p, keyed by fn's name and args."""
+
+    @functools.wraps(fn)
+    def cached(p: FinitePoset, *args):
+        key = (fn.__name__,) + args
+        if key not in p._memo:
+            p._memo[key] = fn(p, *args)
+        return p._memo[key]
+
+    return cached
+
+
 def validate_name(p: FinitePoset, name: RealName) -> list[str]:
     problems = []
     for n, a in enumerate(name.antichains):
@@ -84,7 +98,7 @@ def decide_forces_value(
     return "undecided"
 
 
-@lru_cache(maxsize=None)
+@_per_poset
 def _selector_tuples(
     p: FinitePoset, cond: Element, name: RealName, k: int
 ) -> frozenset[tuple[int, ...]]:
@@ -126,7 +140,7 @@ def generic_filters(p: FinitePoset) -> list[frozenset]:
     return admissible_filters_upsets(p)
 
 
-@lru_cache(maxsize=None)
+@_per_poset
 def realized_value_rows(
     p: FinitePoset, cond: Element, name: RealName, k: int
 ) -> frozenset[tuple[int, ...]]:

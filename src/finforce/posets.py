@@ -12,10 +12,19 @@ inner dimension.  float32 represents every integer below 2**24 exactly,
 and a partial sum of such counts stays an integer below that bound, so
 every sum is exact in any summation order and ``> 0`` is the boolean
 product.  The helper refuses inner dimensions of 2**24 or more.
+
+A poset caches what is derived from it alone: its compatibility matrix,
+the embedding report and reduction matrix of each sub poset checked
+against it (`check_complete_embedding_posets`, shared with
+`check_correct_system`), and the forcing answers of `names`.  This is sound
+because a poset never changes after construction (its order matrix is
+write-protected) and the caches are keyed by identity: sub posets by
+weak reference, so a cache entry never keeps a dropped poset alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -64,6 +73,8 @@ class FinitePoset:
         self.leq_matrix.setflags(write=False)
         self.top = top
         self._compat: np.ndarray | None = None
+        self._embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._memo: dict = {}
 
     @classmethod
     def from_relation(cls, elements: Sequence[Element], pairs: Iterable[tuple[Element, Element]],
@@ -113,7 +124,8 @@ class FinitePoset:
         return frozenset(a for a, ok in zip(self.elements, self.leq_matrix[:, i]) if ok)
 
     def restrict(self, subset: Iterable[Element], top: Element | None = None) -> "FinitePoset":
-        sub = [e for e in self.elements if e in set(subset)]
+        keep = set(subset)
+        sub = [e for e in self.elements if e in keep]
         ids = [self.index[e] for e in sub]
         leq = self.leq_matrix[np.ix_(ids, ids)]
         return FinitePoset(sub, leq, self.top if top is None else top)
@@ -236,14 +248,28 @@ def check_complete_embedding_posets(sub: FinitePoset, sup: FinitePoset) -> Embed
 
     Checks order agreement, incompatibility preservation and existence of
     reductions; together these imply that every maximal antichain of sub
-    stays maximal in sup.
+    stays maximal in sup.  The report is computed once per pair and shared
+    by every caller, who must not mutate it.
     """
+    return _embedding(sub, sup)[0]
+
+
+def _embedding(sub: FinitePoset, sup: FinitePoset) -> tuple[EmbeddingReport, np.ndarray | None]:
+    """The report of sub into sup and, once both posets agree on order and
+    compatibility, the reduction matrix over (sub element, sup element)."""
+    hit = sup._embeddings.get(sub)
+    if hit is None:
+        hit = sup._embeddings[sub] = _check_embedding(sub, sup)
+    return hit
+
+
+def _check_embedding(sub: FinitePoset, sup: FinitePoset) -> tuple[EmbeddingReport, np.ndarray | None]:
     failures: list[tuple] = []
     for a in sub.elements:
         if a not in sup:
             failures.append(("missing-element", a))
     if failures:
-        return EmbeddingReport(False, failures)
+        return EmbeddingReport(False, failures), None
     ids = np.array([sup.index[e] for e in sub.elements])
     sup_leq = sup.leq_matrix[np.ix_(ids, ids)]
     mism = np.argwhere(sub.leq_matrix != sup_leq)
@@ -257,12 +283,13 @@ def check_complete_embedding_posets(sub: FinitePoset, sup: FinitePoset) -> Embed
     for i, j in lost[:8]:
         failures.append(("incompatibility-lost", sub.elements[i], sub.elements[j]))
     if failures:
-        return EmbeddingReport(False, failures)
+        return EmbeddingReport(False, failures), None
     red = _reduction_matrix(sub.leq_matrix, sup.compat_matrix[ids])
+    red.setflags(write=False)
     unreduced = np.flatnonzero(~red.any(axis=0))
     for q in unreduced[:8]:
         failures.append(("no-reduction", sup.elements[q]))
-    return EmbeddingReport(not failures, failures)
+    return EmbeddingReport(not failures, failures), red
 
 
 @dataclass
@@ -277,7 +304,10 @@ class CorrectSystem:
 
 def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     """Brute-force the correctness property: the four inclusions are complete
-    embeddings, and each reduction within <P0, Q0> persists for <P1, Q1>."""
+    embeddings, and each reduction within <P0, Q0> persists for <P1, Q1>.
+
+    The four embedding verdicts and the <P0, Q0> reduction matrix come from
+    the per-pair cache; only the <P1, Q1> side is computed per system."""
     failures: list[tuple] = []
     for tag, sub, sup in (
         ("P0<P1", s.p0, s.p1),
@@ -290,8 +320,7 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
             failures.extend((tag,) + f for f in rep.failures)
     if failures:
         return EmbeddingReport(False, failures)
-    p0_in_q0 = np.array([s.q0.index[e] for e in s.p0.elements])
-    red0 = _reduction_matrix(s.p0.leq_matrix, s.q0.compat_matrix[p0_in_q0])
+    red0 = _embedding(s.p0, s.q0)[1]
     p0_in_p1 = np.array([s.p1.index[e] for e in s.p0.elements])
     p1_in_q1 = np.array([s.q1.index[e] for e in s.p1.elements])
     q0_in_q1 = np.array([s.q1.index[e] for e in s.q0.elements])

@@ -73,7 +73,7 @@ def synth_E(
         raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
     if chooser is None:
         key = ("synthE", a, p)
-        cache = it.__dict__.setdefault("_synth_memo", {})
+        cache = it._synth_memo
         if key in cache:
             return cache[key]
         code = _synth_E(it, a, p, None)
@@ -125,7 +125,7 @@ def entry_fcode(it: SimpleIteration, x: Point, entry: DecisionTableName) -> FCod
     """The condition-valued evaluation table of an entry name, built over the
     name's own base so it is independent of any ambient set."""
     key = ("entryF", x, entry)
-    cache = it.__dict__.setdefault("_synth_memo", {})
+    cache = it._synth_memo
     if key in cache:
         return cache[key]
     model: BorelPosetModel = it.assignments[x].model

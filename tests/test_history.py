@@ -2,6 +2,7 @@
 
 import pytest
 
+from finforce import fixtures
 from finforce.history import (
     EMPTY_HISTORY,
     History,
@@ -145,3 +146,28 @@ class TestInvariance:
                 it, frozenset(i1.template.points), p,
                 context_override=frozenset({"b"}),
             )
+
+
+class TestMemo:
+    def test_memo_matches_cold_computation(self):
+        """After a full invariance sweep on the delegating fixture, every
+        memoized history equals the one a fresh iteration computes first."""
+        from finforce.verify import verify_history_invariance
+
+        it, names = fixtures.case2_fixture()
+        assert verify_history_invariance(it, names).passed
+        assert it._history_memo
+        for (a, p), h in it._history_memo.items():
+            assert history_of_condition(fixtures.case2_fixture()[0], a, p) == h
+
+    def test_forced_top_step_is_not_memoized(self):
+        i1 = fixtures.i1()
+        it = i1.iteration
+        full = frozenset(i1.template.points)
+        p = i1.cond({"b": 1})
+        for ctx in it.entry_contexts(full, p):
+            history_of_condition(it, full, p, context_override=ctx)
+        assert (full, p) not in it._history_memo
+        h = history_of_condition(it, full, p)
+        assert it._history_memo[(full, p)] is h
+        assert history_of_condition(it, full, p) is h

@@ -1,12 +1,16 @@
 """Forcing decision procedures for names: the antichain-compatibility
 criteria against brute-force semantics over fully generic filters."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
+from finforce.models import cohen
 from finforce.names import (
     RealName,
+    _selector_tuples,
     decide_forces_in_tree,
     decide_forces_value,
     realized_value_rows,
@@ -170,3 +174,21 @@ def test_dead_condition_agreement(ed22):
     got = decide_forces_in_tree(ed22.poset, dead, name, tree, 1)
     want = semantic_forces_in_tree(ed22.poset, dead, name, tree, 1)
     assert got == want is False
+
+
+def test_answers_are_cached_on_the_poset_and_die_with_it():
+    """The forcing memos live on the poset: answers match the uncached
+    computation, repeat unchanged, and a dropped poset can be collected."""
+    poset = cohen(2, 2).poset
+    name = RealName((((0,), (1,)), ((0, 0), (0, 1), (1,))), ((5, 7), (1, 2, 3)))
+    for fn in (_selector_tuples, realized_value_rows):
+        for cond in poset.elements:
+            for k in (1, 2):
+                want = fn.__wrapped__(poset, cond, name, k)
+                assert fn(poset, cond, name, k) == want
+                assert fn(poset, cond, name, k) == want
+    assert len(poset._memo) == 2 * 2 * len(poset.elements)
+    ref = weakref.ref(poset)
+    del poset
+    gc.collect()
+    assert ref() is None

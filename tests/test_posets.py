@@ -1,6 +1,9 @@
 """Finite poset primitives: compatibility, antichains, generic filters,
 complete embeddings and correct systems."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,3 +196,51 @@ class TestEmbeddingsAndSystems:
         # 1 does not (1 is incompatible with 3 in sup)
         assert is_reduction(sub, sup, 2, 3)
         assert not is_reduction(sub, sup, 1, 3)
+
+
+def persistence_system() -> CorrectSystem:
+    """Q1 on {0..4}: 1 <= 4, 2 <= 3, 0 on top.  P0 = {0}, P1 = {0,1,2} and
+    Q0 = {0,3,4}.  All four inclusions are complete, but 0 reduces 3 and 4
+    within <P0, Q0> and not within <P1, Q1>: P1 adds 1 and 2, which are
+    incompatible with 3 and 4 in Q1."""
+    q1 = FinitePoset.from_relation(range(5), [(1, 4), (2, 3)] + [(e, 0) for e in range(5)], top=0)
+    return CorrectSystem(q1.restrict({0}), q1.restrict({0, 1, 2}), q1.restrict({0, 3, 4}), q1)
+
+
+class TestSharedEmbeddings:
+    EXPECTED = [("reduction-not-persistent", 0, 3), ("reduction-not-persistent", 0, 4)]
+
+    def test_reduction_not_persistent_cold(self):
+        s = persistence_system()
+        for sub, sup in ((s.p0, s.p1), (s.p0, s.q0), (s.p1, s.q1), (s.q0, s.q1)):
+            assert check_complete_embedding_posets(sub, sup).ok
+        s = persistence_system()
+        rep = check_correct_system(s)
+        assert not rep.ok and rep.failures == self.EXPECTED
+
+    def test_reduction_not_persistent_with_cached_pair(self):
+        s = persistence_system()
+        first = check_complete_embedding_posets(s.p0, s.q0)
+        assert first.ok and s.p0 in s.q0._embeddings
+        rep = check_correct_system(s)
+        assert not rep.ok and rep.failures == self.EXPECTED
+        assert check_complete_embedding_posets(s.p0, s.q0) == first
+
+    def test_repeat_report_is_equal(self):
+        sub = FinitePoset.from_relation((0, 1, 2), [(1, 0), (2, 0)], top=0)
+        sup = FinitePoset.from_relation(
+            (0, 1, 2, 3), [(1, 0), (2, 0), (3, 1), (3, 2)], top=0
+        )
+        first = check_complete_embedding_posets(sub, sup)
+        assert not first.ok
+        assert check_complete_embedding_posets(sub, sup) == first
+        assert check_correct_system(CorrectSystem(sub, sub, sup, sup)).failures[0][0] == "P0<Q0"
+
+    def test_cache_does_not_keep_sub_alive(self):
+        sup = cohen(2, 2).poset
+        sub = sup.restrict(sup.elements[:1])
+        assert check_complete_embedding_posets(sub, sup).ok
+        ref = weakref.ref(sub)
+        del sub
+        gc.collect()
+        assert ref() is None and not len(sup._embeddings)

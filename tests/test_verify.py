@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+from finforce import posets
+from finforce.models import cohen
+from finforce.synth import encode_fsi, fsi_stage_b
 from finforce.verify import (
     CHECKS,
     run_checks,
@@ -92,6 +95,33 @@ class TestCheckRegistry:
     def test_subset_selection(self, i1, i1_names):
         reports = run_checks(i1.iteration, i1_names, ["density"])
         assert [r.check for r in reports] == ["density"]
+
+
+def cohen_fsi(k):
+    return encode_fsi([fsi_stage_b(cohen(1, 2))] * k)
+
+
+class TestSharedWork:
+    """Each result over the subset lattice is computed once per iteration."""
+
+    def test_each_nested_pair_embedded_once(self, monkeypatch):
+        uncached = []
+
+        def spy(sub, sup):
+            uncached.append((sub, sup))
+            return check(sub, sup)
+
+        check = posets._check_embedding
+        monkeypatch.setattr(posets, "_check_embedding", spy)
+        reports = run_checks(cohen_fsi(4))
+        assert all(r.passed for r in reports)
+        assert {r.check: r.checked for r in reports}["nice_and_correct"] == 5 ** 4
+        assert len(uncached) == len({(id(a), id(b)) for a, b in uncached}) == 3 ** 4
+
+    def test_nice_and_correct_at_k5(self):
+        rep = verify_nice_and_correct(cohen_fsi(5))
+        assert rep.passed, rep.to_json()
+        assert rep.checked == 5 ** 5
 
 
 class TestSampling:
