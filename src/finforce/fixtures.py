@@ -33,17 +33,11 @@ def _cond(template, assignments) -> Condition:
 
 def v3_spec() -> SmallPosetSpec:
     """Three ordinals, 0 on top, 1 and 2 incomparable below."""
-    return SmallPosetSpec(
-        size=3,
-        leq_pairs=((1, 0), (2, 0)),
-        linked_blocks=(frozenset({0}), frozenset({1}), frozenset({2})),
-    )
+    return SmallPosetSpec(size=3, leq_pairs=((1, 0), (2, 0)))
 
 
 def chain_spec(size: int) -> SmallPosetSpec:
-    pairs = tuple((i + 1, i) for i in range(size - 1))
-    blocks = tuple(frozenset({i}) for i in range(size))
-    return SmallPosetSpec(size=size, leq_pairs=pairs, linked_blocks=blocks)
+    return SmallPosetSpec(size=size, leq_pairs=tuple((i + 1, i) for i in range(size - 1)))
 
 
 class I1:

@@ -25,6 +25,7 @@ from .iteration import (
     SimpleIteration,
 )
 from .names import RealName
+from .posets import memoized
 from .templates import Point, Subset
 
 
@@ -72,10 +73,13 @@ def history_of_condition(
     """
     if context_override is not None:
         return _history_of_condition(it, a, p, context_override)
-    h = it._history_memo.get((a, p))
-    if h is None:
-        h = it._history_memo[(a, p)] = _history_of_condition(it, a, p, None)
-    return h
+    return _canonical_history(it, a, p)
+
+
+@memoized
+def _canonical_history(it: SimpleIteration, a: Subset, p: Condition) -> History:
+    """The history of p over A under canonical A'-choices throughout."""
+    return _history_of_condition(it, a, p, None)
 
 
 def _history_of_condition(

@@ -13,11 +13,16 @@ decided semantically: a condition enters the filter of a generic sequence
 exactly when each of its interpreted entries enters the coordinate filter
 determined by that sequence.  This compositional rule is the independent
 oracle against which the synthesized membership codes are verified.
+
+Each recursion step is memoized per iteration with `posets.memoized`, in
+the iteration's one ``_memo``; `synth` and `history` keep their memos
+there too.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping
 
@@ -30,6 +35,7 @@ from .posets import (
     _bool_product,
     admissible_filters_upsets,
     check_complete_embedding_posets,
+    memoized,
 )
 from .templates import IndexedTemplate, Point, Subset, trace_family
 
@@ -203,11 +209,10 @@ def entry_sort_key(e: Entry):
 
 @dataclass(frozen=True)
 class SmallPosetSpec:
-    """A sigma-linked poset on {0..size-1} with maximum 0, for C coordinates."""
+    """A poset on {0..size-1} with maximum 0, for C coordinates."""
 
     size: int
     leq_pairs: tuple[tuple[int, int], ...]
-    linked_blocks: tuple[frozenset, ...] = ()
 
     def build(self) -> FinitePoset:
         pairs = list(self.leq_pairs) + [(i, 0) for i in range(self.size)]
@@ -286,8 +291,9 @@ def _zvalue_label(v: Any) -> str:
 
 class SimpleIteration:
     """A validated template plus coordinate assignments, with memoized
-    membership, order, generic enumeration and built posets, and the memos
-    that `synth` and `history` keep per iteration."""
+    membership, order, generic enumeration and built posets.  ``_memo``
+    holds these answers and those of `synth` and `history` (see
+    `posets.memoized`)."""
 
     def __init__(
         self,
@@ -308,18 +314,7 @@ class SimpleIteration:
         self.assignments = dict(assignments)
         self.max_conditions = max_conditions
         self.rank = template.order.rank
-        self._member_memo: dict = {}
-        self._order_memo: dict = {}
-        self._generic_memo: dict = {}
-        self._filter_memo: dict = {}
-        self._interp_memo: dict = {}
-        self._built: dict = {}
-        self._palette_memo: dict = {}
-        self._r_entry_memo: dict = {}
-        self._context_memo: dict = {}
-        self._small_posets: dict = {}
-        self._synth_memo: dict = {}  # synth: membership codes and entry tables
-        self._history_memo: dict = {}  # history: H and W per (A, p)
+        self._memo: defaultdict = defaultdict(dict)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -329,15 +324,12 @@ class SimpleIteration:
     def past_in(self, a: Subset, x: Point) -> Subset:
         return a & self.template.order.past(x)
 
+    @memoized
     def small_poset(self, spec: SmallPosetSpec) -> FinitePoset:
-        if spec not in self._small_posets:
-            self._small_posets[spec] = spec.build()
-        return self._small_posets[spec]
+        return spec.build()
 
+    @memoized
     def entry_palette(self, x: Point, widened: bool = False) -> list[Entry]:
-        key = (x, widened)
-        if key in self._palette_memo:
-            return self._palette_memo[key]
         asg = self.assignments[x]
         palette: list[Entry]
         if asg.kind == "C":
@@ -354,42 +346,30 @@ class SimpleIteration:
                     if v != top
                 ]
             palette += sorted(asg.extra_entries, key=lambda n: n.label)
-        self._palette_memo[key] = palette
         return palette
 
     # -- membership ---------------------------------------------------------
 
+    @memoized
     def member_pstar(self, a: Subset, p: Condition, widened: bool = False) -> bool:
-        key = (a, p, widened)
-        memo = self._member_memo
-        if key in memo:
-            return memo[key]
         if p.is_empty():
-            memo[key] = True
             return True
         if not p.domain <= a:
-            memo[key] = False
             return False
-        ok = bool(self.entry_contexts(a, p, widened))
-        memo[key] = ok
-        return ok
+        return bool(self.entry_contexts(a, p, widened))
 
+    @memoized
     def entry_contexts(self, a: Subset, p: Condition, widened: bool = False) -> tuple[Subset, ...]:
         """All A' from the trace at max(dom p) that admit p: the restriction
         below max(dom p) is a member over A' and the top entry is valid."""
-        key = (a, p, widened)
-        if key in self._context_memo:
-            return self._context_memo[key]
         x = self.template.order.max_of(p.domain)
         rest = p.before(x, self.rank)
         entry = p.get(x)
-        out = tuple(
+        return tuple(
             a2
             for a2 in self.template.sorted_subsets(trace_family(self.template, x, a))
             if self.member_pstar(a2, rest, widened) and self._entry_ok(x, entry, a2, widened)
         )
-        self._context_memo[key] = out
-        return out
 
     def canonical_context(self, a: Subset, p: Condition, widened: bool = False) -> Subset:
         """The canonical A'-choice: the inclusion-least valid trace member if
@@ -397,10 +377,7 @@ class SimpleIteration:
         contexts = self.entry_contexts(a, p, widened)
         if not contexts:
             raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
-        minimal = [c for c in contexts if not any(d < c for d in contexts)]
-        if len(minimal) == 1:
-            return minimal[0]
-        return min(minimal, key=self.template.order.subset_key)
+        return self.template.canonical_choice(contexts)
 
     def _entry_ok(self, x: Point, e: Entry, a2: Subset, widened: bool) -> bool:
         asg = self.assignments[x]
@@ -430,10 +407,8 @@ class SimpleIteration:
             self.member_pstar(e.base, q) for q in e.antichain
         )
 
+    @memoized
     def _r_entry_valid(self, x: Point, e: DecisionTableName) -> bool:
-        key = (x, e)
-        if key in self._r_entry_memo:
-            return self._r_entry_memo[key]
         asg = self.assignments[x]
         ok = all(v in asg.model.poset.index for v in e.table) and all(
             self.member_pstar(e.base, q) for q in e.antichain
@@ -445,9 +420,7 @@ class SimpleIteration:
                     continue
                 sub = self.interpret_subposet(x, zbar)
                 if v not in sub.elements:
-                    ok = False
-                    break
-        self._r_entry_memo[key] = ok
+                    return False
         return ok
 
     # -- generic sequences and induced filters ------------------------------
@@ -456,9 +429,8 @@ class SimpleIteration:
         asg = self.assignments[x]
         return asg.kind == "B" or asg.support <= a
 
+    @memoized
     def enumerate_generics(self, a: Subset) -> tuple[GenericSequence, ...]:
-        if a in self._generic_memo:
-            return self._generic_memo[a]
         seqs: list[tuple[tuple[Point, Any], ...]] = [()]
         for x in self.points_of(a):
             asg = self.assignments[x]
@@ -487,17 +459,12 @@ class SimpleIteration:
                 for v in values:
                     new.append(prefix + ((x, v),))
             seqs = new
-        out = tuple(GenericSequence(s) for s in seqs)
-        self._generic_memo[a] = out
-        return out
+        return tuple(GenericSequence(s) for s in seqs)
 
+    @memoized
     def member_of_filter(self, zbar: GenericSequence, r: Condition) -> bool:
         """Whether r belongs to the filter induced by the generic sequence:
         each interpreted entry must enter its coordinate filter."""
-        key = (zbar, r)
-        if key in self._filter_memo:
-            return self._filter_memo[key]
-        ok = True
         for y, e in r.entries:
             asg = self.assignments[y]
             if e is TRIV:
@@ -505,18 +472,15 @@ class SimpleIteration:
             if asg.kind == "C":
                 v = e if isinstance(e, (int, np.integer)) else self.interpret_entry(y, e, zbar)
                 if zbar.value(y)[v] != 1:
-                    ok = False
-                    break
+                    return False
             else:
                 v = self.interpret_entry(y, e, zbar)
                 if v is TRIV:
                     continue
                 zy = zbar.value(y)
                 if zy is DUMMY or not asg.model.E(zy, v):
-                    ok = False
-                    break
-        self._filter_memo[key] = ok
-        return ok
+                    return False
+        return True
 
     def interpret_entry(self, x: Point, e: Entry, zbar: GenericSequence) -> Any:
         """Evaluate a decision-table entry under the filter induced by zbar."""
@@ -524,9 +488,13 @@ class SimpleIteration:
             return TRIV
         if isinstance(e, (int, np.integer)):
             return int(e)
-        key = (e, tuple((y, v) for y, v in zbar.entries if y in e.base))
-        if key in self._interp_memo:
-            return self._interp_memo[key]
+        return self._interpret_table(e, tuple((y, v) for y, v in zbar.entries if y in e.base))
+
+    @memoized
+    def _interpret_table(self, e: DecisionTableName, zbase: tuple[tuple[Point, Any], ...]) -> Any:
+        """The value of a table name under the generics that agree with
+        ``zbase``, their projection onto the name's base."""
+        zbar = GenericSequence(zbase)
         hits = [q for q in e.antichain if self.member_of_filter(zbar, q)]
         if not hits:
             raise NonGenericFilterError(
@@ -536,9 +504,7 @@ class SimpleIteration:
             raise NotAFilterError(
                 f"two antichain members of {e.label or 'a table name'} in one filter"
             )
-        v = e.value_for(hits[0])
-        self._interp_memo[key] = v
-        return v
+        return e.value_for(hits[0])
 
     def interpret_subposet_spec(self, x: Point, zbar: GenericSequence) -> SubposetSpec:
         asg = self.assignments[x]
@@ -577,24 +543,22 @@ class SimpleIteration:
             return False
         if q.is_empty():
             return True
-        key = (a, q, p, widened)
-        if key in self._order_memo:
-            return self._order_memo[key]
+        return self._order_step(a, q, p, widened)
+
+    @memoized
+    def _order_step(self, a: Subset, q: Condition, p: Condition, widened: bool) -> bool:
         x = self.template.order.max_of(q.domain)
         below = self.past_in(a, x)
         q1 = q.before(x, self.rank)
         p1 = p.before(x, self.rank)
-        ok = self._order_leq(below, q1, p1, widened)
-        if ok and x in p.domain:
+        if not self._order_leq(below, q1, p1, widened):
+            return False
+        if x in p.domain:
             eq, ep = q.get(x), p.get(x)
             for zbar in self.enumerate_generics(below):
-                if not self.member_of_filter(zbar, q1):
-                    continue
-                if not self._stage_leq(x, below, zbar, eq, ep):
-                    ok = False
-                    break
-        self._order_memo[key] = ok
-        return ok
+                if self.member_of_filter(zbar, q1) and not self._stage_leq(x, below, zbar, eq, ep):
+                    return False
+        return True
 
     def _stage_leq(self, x: Point, below: Subset, zbar: GenericSequence, eq: Entry, ep: Entry) -> bool:
         asg = self.assignments[x]
@@ -637,15 +601,12 @@ class SimpleIteration:
             tuple((self.rank[x], entry_sort_key(e)) for x, e in p.entries),
         )
 
+    @memoized
     def build_poset(self, a: Subset) -> FinitePoset:
         """Materialize P*|A with its semantic order.  The widened P|A can be
         a preorder only, so it is never built (see `check_density_pstar`)."""
-        if a in self._built:
-            return self._built[a]
         elems = self.members(a)
-        poset = FinitePoset(elems, self._order_matrix(a, elems), EMPTY_CONDITION)
-        self._built[a] = poset
-        return poset
+        return FinitePoset(elems, self._order_matrix(a, elems), EMPTY_CONDITION)
 
     def _order_matrix(self, a: Subset, elems: list[Condition]) -> np.ndarray:
         """leq[i, j] iff elems[i] <= elems[j], tabulated stage by stage.

@@ -335,27 +335,3 @@ def ed_naive(k: int = 2, m: int = 2) -> BorelPosetModel:
         centered=True,
     )
 
-
-def user_poset_model(
-    name: str,
-    poset: FinitePoset,
-    generic_space: Sequence[GenericValue],
-    relation: Callable,
-    admissible: Sequence[AdmissibleFilter],
-    linked_partition: Sequence[frozenset] | None = None,
-    centered: bool = False,
-) -> BorelPosetModel:
-    blocks = (
-        tuple(linked_partition)
-        if linked_partition is not None
-        else tuple(frozenset([e]) for e in poset.elements)
-    )
-    return BorelPosetModel(
-        name=name,
-        poset=poset,
-        generic_space=tuple(generic_space),
-        relation=relation,
-        admissible=tuple(admissible),
-        linked_partition=blocks,
-        centered=centered,
-    )

@@ -6,18 +6,18 @@ member.  `decide_forces_value` and `decide_forces_in_tree` decide forcing
 by compatibility alone; on finite posets they agree exactly with
 quantification over the fully generic filters (the up-sets of minimal
 elements), which the test suite verifies.  Answers that depend on the
-poset are cached on the poset itself, so they live exactly as long as it.
+poset are cached on the poset itself with `posets.memoized`, so they live
+exactly as long as it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .posets import FinitePoset, admissible_filters_upsets, is_maximal_antichain
+from .posets import FinitePoset, admissible_filters_upsets, is_maximal_antichain, memoized
 
 Element = Hashable
 
@@ -56,19 +56,6 @@ class RealName:
         return cls(tuple(antichains), tuple(values))
 
 
-def _per_poset(fn):
-    """Memoize fn(p, *args) on the poset p, keyed by fn's name and args."""
-
-    @functools.wraps(fn)
-    def cached(p: FinitePoset, *args):
-        key = (fn.__name__,) + args
-        if key not in p._memo:
-            p._memo[key] = fn(p, *args)
-        return p._memo[key]
-
-    return cached
-
-
 def validate_name(p: FinitePoset, name: RealName) -> list[str]:
     problems = []
     for n, a in enumerate(name.antichains):
@@ -98,7 +85,7 @@ def decide_forces_value(
     return "undecided"
 
 
-@_per_poset
+@memoized
 def _selector_tuples(
     p: FinitePoset, cond: Element, name: RealName, k: int
 ) -> frozenset[tuple[int, ...]]:
@@ -136,17 +123,13 @@ def decide_forces_in_tree(
 # Independent semantic oracles (used by tests and the acceptance suite)
 
 
-def generic_filters(p: FinitePoset) -> list[frozenset]:
-    return admissible_filters_upsets(p)
-
-
-@_per_poset
+@memoized
 def realized_value_rows(
     p: FinitePoset, cond: Element, name: RealName, k: int
 ) -> frozenset[tuple[int, ...]]:
     """Value tuples realized by fully generic filters containing cond."""
     rows = set()
-    for g in generic_filters(p):
+    for g in admissible_filters_upsets(p):
         if cond not in g:
             continue
         vals = []

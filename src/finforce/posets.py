@@ -20,11 +20,19 @@ against it (`check_complete_embedding_posets`, shared with
 because a poset never changes after construction (its order matrix is
 write-protected) and the caches are keyed by identity: sub posets by
 weak reference, so a cache entry never keeps a dropped poset alive.
+
+`memoized` is the one memo layer of the package: it caches a function's
+answers on the object passed first, a poset here and a `SimpleIteration`
+in `iteration`, `synth` and `history`, so every answer lives exactly as
+long as the object it was derived from.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -33,6 +41,39 @@ import numpy as np
 Element = Hashable
 
 _FLOAT32_EXACT = 1 << 24
+_MISS = object()
+
+
+def memoized(fn):
+    """Cache ``fn(owner, *args)`` in ``owner._memo``, a ``defaultdict(dict)``
+    holding one dict per cached function.
+
+    The key is the tuple of arguments after ``owner``, positional, with
+    defaults filled in, so ``f(o, x)`` and ``f(o, x, False)`` share an entry
+    when False is the default.  Answers are shared, so callers must not
+    mutate them.  The uncached body stays reachable as ``__wrapped__``.
+    """
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters) - 1
+    defaults = fn.__defaults__ or ()
+    least = arity - len(defaults)
+
+    @functools.wraps(fn)
+    def cached(owner, *args, **kwargs):
+        if len(args) != arity or kwargs:
+            if not kwargs and len(args) >= least:
+                args += defaults[len(args) - least:]
+            else:
+                bound = sig.bind(owner, *args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args[1:]
+        table = owner._memo[cached]
+        hit = table.get(args, _MISS)
+        if hit is _MISS:
+            hit = table[args] = fn(owner, *args)
+        return hit
+
+    return cached
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,7 +115,7 @@ class FinitePoset:
         self.top = top
         self._compat: np.ndarray | None = None
         self._embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._memo: dict = {}
+        self._memo: defaultdict = defaultdict(dict)  # see `memoized`
 
     @classmethod
     def from_relation(cls, elements: Sequence[Element], pairs: Iterable[tuple[Element, Element]],
@@ -238,8 +279,10 @@ def _reduction_matrix(
 ) -> np.ndarray:
     """red[r, q]: every extension of r inside sub is compatible with q in sup.
 
-    ``sub_order`` is the sub poset's order; ``compat_in_sup`` maps (sub
-    element, sup element) pairs to compatibility in the super poset."""
+    ``sub_order[e, r]`` holds when e extends r; its columns may be a subset
+    of the sub poset's elements, which then restricts the rows of red.
+    ``compat_in_sup`` maps (sub element, sup element) pairs to
+    compatibility in the super poset."""
     return ~_bool_product(sub_order.T, ~compat_in_sup)
 
 
@@ -325,7 +368,7 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     p1_in_q1 = np.array([s.q1.index[e] for e in s.p1.elements])
     q0_in_q1 = np.array([s.q1.index[e] for e in s.q0.elements])
     compat1 = s.q1.compat_matrix[np.ix_(p1_in_q1, q0_in_q1)]
-    red1 = ~_bool_product(s.p1.leq_matrix[:, p0_in_p1].T, ~compat1)
+    red1 = _reduction_matrix(s.p1.leq_matrix[:, p0_in_p1], compat1)
     broken = np.argwhere(red0 & ~red1)
     for i, j in broken[:8]:
         failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))

@@ -30,7 +30,8 @@ from .iteration import (
 )
 from .models import BorelPosetModel
 from .names import RealName
-from .templates import Point, Subset, full_powerset_template
+from .posets import memoized
+from .templates import Point, Subset, full_powerset_template, trace_family
 
 
 class SynthesisError(Exception):
@@ -40,20 +41,11 @@ class SynthesisError(Exception):
 Chooser = Callable[[Subset, Condition, list[Subset]], Subset]
 
 
-def _canonical_choice(it: SimpleIteration, candidates: list[Subset]) -> Subset:
-    minimal = [c for c in candidates if not any(d < c for d in candidates)]
-    if len(minimal) == 1:
-        return minimal[0]
-    return min(minimal, key=it.template.order.subset_key)
-
-
 def case2_contexts(it: SimpleIteration, a: Subset, p: Condition) -> list[Subset]:
     """Admissible delegation targets when the past of max(A) is outside the
     family: strictly smaller sets B or B+{max} with B in the trace, still
     carrying p."""
     x = it.template.order.max_of(a)
-    from .templates import trace_family
-
     candidates = set()
     for b in trace_family(it.template, x, a):
         for cand in (b, b | {x}):
@@ -72,14 +64,14 @@ def synth_E(
     if not it.member_pstar(a, p):
         raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
     if chooser is None:
-        key = ("synthE", a, p)
-        cache = it._synth_memo
-        if key in cache:
-            return cache[key]
-        code = _synth_E(it, a, p, None)
-        cache[key] = code
-        return code
+        return _canonical_code(it, a, p)
     return _synth_E(it, a, p, chooser)
+
+
+@memoized
+def _canonical_code(it: SimpleIteration, a: Subset, p: Condition):
+    """The code of p over A under the canonical delegation choice."""
+    return _synth_E(it, a, p, None)
 
 
 def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | None):
@@ -96,7 +88,7 @@ def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | No
         if chooser is not None:
             a2 = chooser(a, p, candidates)
         else:
-            a2 = _canonical_choice(it, candidates)
+            a2 = it.template.canonical_choice(candidates)
         return _synth_E(it, a2, p, chooser)
     # no strictly smaller admissible set covers the condition's domain; the
     # factorization through the maximum is still semantically exact because
@@ -121,21 +113,16 @@ def _factorize(it: SimpleIteration, a: Subset, x: Point, p: Condition, chooser):
     return AndNode((sub, atom))
 
 
+@memoized
 def entry_fcode(it: SimpleIteration, x: Point, entry: DecisionTableName) -> FCode:
     """The condition-valued evaluation table of an entry name, built over the
     name's own base so it is independent of any ambient set."""
-    key = ("entryF", x, entry)
-    cache = it._synth_memo
-    if key in cache:
-        return cache[key]
     model: BorelPosetModel = it.assignments[x].model
     table = tuple(
         (synth_E(it, entry.base, member), value)
         for member, value in zip(entry.antichain, entry.table)
     )
-    f = FCode(target="value", coords=(table,), default=model.poset.top)
-    cache[key] = f
-    return f
+    return FCode(target="value", coords=(table,), default=model.poset.top)
 
 
 def synth_F(

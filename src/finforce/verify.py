@@ -6,6 +6,9 @@ synthesized codes (or recomputed histories), recording failures with full
 witnesses in a machine-readable report.  Checks over distinct sequences
 are independent; reports canonicalize witness order so repeated runs are
 byte-identical apart from timing.
+
+Every check takes ``(it, names=None, seed=0)``; a check that reads no names
+or draws no sample ignores those arguments.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ def _all_subsets(it: SimpleIteration) -> list[Subset]:
 def verify_main_theorem(
     it: SimpleIteration,
     names: dict[str, RealName] | None = None,
-    max_generics: int = 4096,
     seed: int = 0,
+    max_generics: int = 4096,
 ) -> Report:
     """Membership codes must decide induced-filter membership, and name
     evaluation functions must reproduce direct antichain evaluation, for
@@ -175,7 +178,7 @@ def verify_main_theorem(
 
 
 def verify_history_invariance(
-    it: SimpleIteration, names: dict[str, RealName] | None = None
+    it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
 ) -> Report:
     """Histories computed relative to nested ambient sets must coincide, and
     the A'-choice inside the recursion must be immaterial."""
@@ -226,8 +229,27 @@ def verify_history_invariance(
     return rep
 
 
+def _compare_with(reference, points, evaluate):
+    """``first_difference(code)``: the first (point, reference value, code
+    value) over ``points`` at which code and ``reference`` evaluate
+    differently, or None.  The reference is evaluated once per point, however
+    many codes are compared with it."""
+    seen: list = []
+
+    def first_difference(code):
+        for i, pt in enumerate(points):
+            if i == len(seen):
+                seen.append(evaluate(reference, pt))
+            v = evaluate(code, pt)
+            if v != seen[i]:
+                return pt, seen[i], v
+        return None
+
+    return first_difference
+
+
 def verify_well_definedness(
-    it: SimpleIteration, names: dict[str, RealName] | None = None
+    it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
 ) -> Report:
     """Codes synthesized relative to nested ambient sets, and under every
     admissible delegation choice, must be semantically equal on the
@@ -235,73 +257,55 @@ def verify_well_definedness(
     t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="well_definedness", names=len(names))
+
+    def check(first_difference, code, kind, condition, name, where):
+        rep.checked += 1
+        diff = first_difference(code)
+        if diff is not None:
+            pt, v1, v2 = diff
+            rep.failures.append(Failure(kind, condition, name, f"{where} at {pt}", str(v1), str(v2)))
+
     subsets = _all_subsets(it)
     for small in subsets:
         members = it.members(small)
         bigger = [a for a in subsets if small <= a]
         for q in members:
             tspace = tuple_space(it, history_of_condition(it, small, q))
-            points = list(enumerate_points(tspace))
-            code_small = synth_E(it, small, q)
+            first_difference = _compare_with(
+                synth_E(it, small, q), list(enumerate_points(tspace)),
+                lambda c, pt: eval_code(c, pt, strict=False),
+            )
             for a in bigger:
-                rep.checked += 1
-                code_a = synth_E(it, a, q)
-                for pt in points:
-                    v1 = eval_code(code_small, pt, strict=False)
-                    v2 = eval_code(code_a, pt, strict=False)
-                    if v1 != v2:
-                        rep.failures.append(
-                            Failure(
-                                "code-ambient", str(q), "",
-                                f"K={sorted(small)} A={sorted(a)} at {pt}",
-                                str(v1), str(v2),
-                            )
-                        )
-                        break
+                check(first_difference, synth_E(it, a, q), "code-ambient", str(q), "",
+                      f"K={sorted(small)} A={sorted(a)}")
             # delegation-choice independence where the case split offers one
             x = it.template.order.max_of(small) if small else None
             if x is not None and it.past_in(small, x) not in it.template.families[x]:
                 for choice in case2_contexts(it, small, q):
-                    rep.checked += 1
                     forced = synth_E(
                         it, small, q,
                         chooser=lambda a, p, cands, _c=choice: _c if _c in cands else cands[0],
                     )
-                    for pt in points:
-                        v1 = eval_code(code_small, pt, strict=False)
-                        v2 = eval_code(forced, pt, strict=False)
-                        if v1 != v2:
-                            rep.failures.append(
-                                Failure(
-                                    "code-choice", str(q), "", f"A'={sorted(choice)} at {pt}",
-                                    str(v1), str(v2),
-                                )
-                            )
-                            break
+                    check(first_difference, forced, "code-choice", str(q), "", f"A'={sorted(choice)}")
     full = it.template.all_points()
     for label, name in names.items():
         tspace = tuple_space(it, history_of_name(it, full, name))
-        points = list(enumerate_points(tspace))
-        f_full = synth_F(it, full, name)
+        first_difference = _compare_with(
+            synth_F(it, full, name), list(enumerate_points(tspace)),
+            lambda f, pt: eval_fcode_detailed(f, pt, strict=False),
+        )
         for a in subsets:
             if a != full and all(
                 it.member_pstar(a, q) for ac in name.antichains for q in ac
             ):
-                rep.checked += 1
-                f_a = synth_F(it, a, name)
-                for pt in points:
-                    v1 = eval_fcode_detailed(f_full, pt, strict=False)
-                    v2 = eval_fcode_detailed(f_a, pt, strict=False)
-                    if v1 != v2:
-                        rep.failures.append(
-                            Failure("fcode-ambient", "", label, f"A={sorted(a)} at {pt}", str(v1), str(v2))
-                        )
-                        break
+                check(first_difference, synth_F(it, a, name), "fcode-ambient", "", label, f"A={sorted(a)}")
     rep.seconds = time.perf_counter() - t0
     return rep
 
 
-def verify_density(it: SimpleIteration) -> Report:
+def verify_density(
+    it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
+) -> Report:
     """P* must be dense in the widened iteration over every subset."""
     t0 = time.perf_counter()
     rep = Report(check="density")
@@ -316,7 +320,9 @@ def verify_density(it: SimpleIteration) -> Report:
     return rep
 
 
-def verify_embeddings(it: SimpleIteration) -> Report:
+def verify_embeddings(
+    it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
+) -> Report:
     """Complete embeddings along every nested pair of the subset lattice."""
     t0 = time.perf_counter()
     rep = Report(check="embeddings")
@@ -338,7 +344,9 @@ def verify_embeddings(it: SimpleIteration) -> Report:
     return rep
 
 
-def verify_nice_and_correct(it: SimpleIteration) -> Report:
+def verify_nice_and_correct(
+    it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
+) -> Report:
     """Every subposet value of every R-coordinate table must satisfy the
     E-characterization on its restricted generic space, and every four-poset
     system generated from the subset lattice must be correct."""
@@ -391,24 +399,10 @@ CHECKS = {
     "nice_and_correct": verify_nice_and_correct,
 }
 
-NAME_AWARE = {"main_theorem", "history_invariance", "well_definedness"}
-
-
 def run_checks(
     it: SimpleIteration,
     names: dict[str, RealName] | None = None,
     which: list[str] | None = None,
-    max_generics: int = 4096,
     seed: int = 0,
 ) -> list[Report]:
-    which = which or list(CHECKS)
-    reports = []
-    for check in which:
-        fn = CHECKS[check]
-        if check == "main_theorem":
-            reports.append(fn(it, names, max_generics=max_generics, seed=seed))
-        elif check in NAME_AWARE:
-            reports.append(fn(it, names))
-        else:
-            reports.append(fn(it))
-    return reports
+    return [CHECKS[check](it, names, seed) for check in which or CHECKS]

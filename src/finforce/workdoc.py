@@ -124,7 +124,11 @@ def _parse_table_name(label: str, spec: dict, rank, point_models, entry_names,
         rpath = f"{path}.table[{i}]"
         _expect(isinstance(row, dict) and "when" in row and "value" in row,
                 rpath, "rows need 'when' and 'value'")
-        antichain.append(_parse_condition(row["when"], rank, point_models, entry_names, rpath))
+        cond = _parse_condition(row["when"], rank, point_models, entry_names, rpath)
+        _expect(cond.domain <= base and all(
+            e.base <= base for _, e in cond.entries if isinstance(e, DecisionTableName)
+        ), f"{rpath}.when", f"condition reads points outside the base {sorted(base)}")
+        antichain.append(cond)
         values.append(value_parser(row["value"], rpath))
     return DecisionTableName(
         base=base, antichain=tuple(antichain), table=tuple(values), label=label
@@ -135,11 +139,20 @@ def _parse_small_poset(value: Any, path: str) -> SmallPosetSpec:
     _expect(isinstance(value, dict) and "size" in value, path, "poset value needs a size")
     size = value["size"]
     _expect(isinstance(size, int) and size >= 1, path, "size must be a positive integer")
-    pairs = tuple((int(a), int(b)) for a, b in value.get("leq", []))
-    for a, b in pairs:
-        _expect(0 <= a < size and 0 <= b < size, path, f"leq pair ({a},{b}) out of range")
-    blocks = tuple(frozenset(b) for b in value.get("blocks", [[i] for i in range(size)]))
-    return SmallPosetSpec(size=size, leq_pairs=pairs, linked_blocks=blocks)
+
+    def ordinal(v: Any) -> bool:
+        return isinstance(v, int) and 0 <= v < size
+
+    leq = value.get("leq", [])
+    _expect(isinstance(leq, list), f"{path}.leq", "leq must be a list of pairs")
+    for i, pair in enumerate(leq):
+        _expect(isinstance(pair, list) and len(pair) == 2 and all(map(ordinal, pair)),
+                f"{path}.leq[{i}]", f"leq pair {pair!r} is not two ordinals below {size}")
+    blocks = value.get("blocks", [])
+    _expect(isinstance(blocks, list) and all(isinstance(b, list) and all(map(ordinal, b))
+                                             for b in blocks),
+            f"{path}.blocks", f"blocks must be lists of ordinals below {size}")
+    return SmallPosetSpec(size=size, leq_pairs=tuple(tuple(pair) for pair in leq))
 
 
 def _parse_subposet(value: Any, model: BorelPosetModel, path: str) -> SubposetSpec:

@@ -42,6 +42,35 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "--doc", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("leq", [[1]], ".leq[0]"),
+        ("leq", [["a", 0]], ".leq[0]"),
+        ("blocks", 5, ".blocks"),
+    ])
+    def test_malformed_c_poset_value(self, tmp_path, capsys, key, value, where):
+        """A malformed poset value at a C coordinate is a parse error that
+        names its JSON path, not a traceback."""
+        with open(doc_path("fsi2_cohen_c.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["iteration"]["1"]["poset"]["table"][0]["value"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--doc", str(bad)]) == 2
+        assert f"parse error: iteration.1.poset.table[0]{where}: " in capsys.readouterr().err
+
+    def test_name_reading_outside_its_base(self, tmp_path, capsys):
+        """A table name is evaluated on its base alone, so a case that reads
+        another point is a parse error."""
+        with open(doc_path("fsi2_cohen_c.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["iteration"]["1"]["poset"]["base"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--doc", str(bad)]) == 2
+        assert "iteration.1.poset.table[0].when: condition reads points outside the base []" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSynth:
     def test_cond_bit(self, capsys, i1_doc):

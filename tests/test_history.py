@@ -6,6 +6,7 @@ from finforce import fixtures
 from finforce.history import (
     EMPTY_HISTORY,
     History,
+    _canonical_history,
     enumerate_points,
     history_of_condition,
     history_of_name,
@@ -156,8 +157,9 @@ class TestMemo:
 
         it, names = fixtures.case2_fixture()
         assert verify_history_invariance(it, names).passed
-        assert it._history_memo
-        for (a, p), h in it._history_memo.items():
+        memo = it._memo[_canonical_history]
+        assert memo
+        for (a, p), h in memo.items():
             assert history_of_condition(fixtures.case2_fixture()[0], a, p) == h
 
     def test_forced_top_step_is_not_memoized(self):
@@ -167,7 +169,8 @@ class TestMemo:
         p = i1.cond({"b": 1})
         for ctx in it.entry_contexts(full, p):
             history_of_condition(it, full, p, context_override=ctx)
-        assert (full, p) not in it._history_memo
+        memo = it._memo[_canonical_history]
+        assert (full, p) not in memo
         h = history_of_condition(it, full, p)
-        assert it._history_memo[(full, p)] is h
+        assert memo[(full, p)] is h
         assert history_of_condition(it, full, p) is h

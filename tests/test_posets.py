@@ -3,6 +3,7 @@ complete embeddings and correct systems."""
 
 import gc
 import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from finforce.posets import (
     is_maximal_antichain,
     is_reduction,
     maximal_antichains,
+    memoized,
 )
 
 
@@ -157,6 +159,58 @@ def test_upsets_of_minimals_are_exactly_the_generic_filters(p):
     for e in p.elements:
         g = p.upset(e)
         assert filter_meets_all_maximal_antichains(p, g) == (e in minimals)
+
+
+class _Owner:
+    def __init__(self):
+        self._memo = defaultdict(dict)
+        self.calls = []
+
+    @memoized
+    def f(self, x, flag=False):
+        self.calls.append(("f", x, flag))
+        return (x, flag)
+
+    @memoized
+    def g(self, x, flag=False):
+        self.calls.append(("g", x, flag))
+        return [x, flag]
+
+
+class TestMemoized:
+    """`memoized`, the one memo layer: one dict per function on the owner."""
+
+    def test_defaults_share_an_entry(self):
+        o = _Owner()
+        assert o.f(1) == o.f(1, False) == o.f(1, flag=False) == o.f(x=1) == (1, False)
+        assert o.calls == [("f", 1, False)]
+        assert o.f(1, True) == (1, True)
+        assert o._memo[_Owner.f] == {(1, False): (1, False), (1, True): (1, True)}
+
+    def test_functions_and_owners_do_not_share_entries(self):
+        o, other = _Owner(), _Owner()
+        assert o.f(1) == (1, False)
+        assert o.g(1) == [1, False]
+        assert o.calls == [("f", 1, False), ("g", 1, False)]
+        assert dict(o._memo) == {_Owner.f: {(1, False): (1, False)}, _Owner.g: {(1, False): [1, False]}}
+        other.f(1)
+        assert other.calls == [("f", 1, False)]
+
+    def test_wrapped_is_the_uncached_body(self):
+        o = _Owner()
+        first = o.g(2)
+        assert o.g(2) is first
+        again = _Owner.g.__wrapped__(o, 2)
+        assert again == first and again is not first
+        assert o.calls == [("g", 2, False)] * 2
+        assert len(o._memo[_Owner.g]) == 1
+
+    def test_bad_calls_raise_and_store_nothing(self):
+        o = _Owner()
+        for call in (lambda: o.f(), lambda: o.f(1, True, 3), lambda: o.f(1, bogus=2)):
+            with pytest.raises(TypeError):
+                call()
+        assert not o._memo[_Owner.f] and not o.calls
 
 
 class TestEmbeddingsAndSystems:

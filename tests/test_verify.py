@@ -118,6 +118,34 @@ class TestSharedWork:
         assert {r.check: r.checked for r in reports}["nice_and_correct"] == 5 ** 4
         assert len(uncached) == len({(id(a), id(b)) for a, b in uncached}) == 3 ** 4
 
+    def test_reference_code_evaluated_once_per_point(self, case2, monkeypatch):
+        """well_definedness evaluates each condition's reference code once
+        per point of its tuple space, plus each compared code once per point."""
+        import finforce.verify as verify_mod
+        from finforce.history import enumerate_points, history_of_condition, tuple_space
+        from finforce.synth import case2_contexts
+
+        it, _ = case2
+        calls = []
+        real = verify_mod.eval_code
+        monkeypatch.setattr(verify_mod, "eval_code", lambda c, pt, strict: calls.append(c) or real(c, pt, strict))
+        rep = verify_well_definedness(it)
+        assert rep.passed
+        subsets = verify_mod._all_subsets(it)
+        want = compared = 0
+        for small in subsets:
+            x = it.template.order.max_of(small) if small else None
+            delegates = x is not None and it.past_in(small, x) not in it.template.families[x]
+            for q in it.members(small):
+                codes = sum(small <= a for a in subsets)
+                if delegates:
+                    codes += len(case2_contexts(it, small, q))
+                points = len(list(enumerate_points(tuple_space(it, history_of_condition(it, small, q)))))
+                want += points * (1 + codes)
+                compared += codes
+        assert compared == rep.checked
+        assert len(calls) == want
+
     def test_nice_and_correct_at_k5(self):
         rep = verify_nice_and_correct(cohen_fsi(5))
         assert rep.passed, rep.to_json()
@@ -170,3 +198,35 @@ class TestMutatedSynthesizer:
         witness = next(f for f in rep.failures if f.kind == "membership-code")
         assert witness.condition and witness.zbar
         assert {witness.expected, witness.actual} == {"True", "False"}
+
+    def test_well_definedness_reports_first_differing_point(self, case2, monkeypatch):
+        """Codes that disagree with the reference everywhere are reported once
+        per comparison, at the first point of the condition's tuple space."""
+        import finforce.verify as verify_mod
+        from finforce.codes import NotNode
+        from finforce.history import enumerate_points, history_of_condition, tuple_space
+        from finforce.synth import synth_E as real_synth_E
+
+        it, _ = case2
+        full = it.template.all_points()
+        clean = verify_well_definedness(it)
+
+        def tampered(it, a, p, chooser=None):
+            code = real_synth_E(it, a, p, chooser)
+            return NotNode(code) if a == full or chooser is not None else code
+
+        monkeypatch.setattr(verify_mod, "synth_E", tampered)
+        rep = verify_mod.verify_well_definedness(it)
+        assert rep.checked == clean.checked
+        first, pairs = {}, 0
+        for small in verify_mod._all_subsets(it):
+            for q in it.members(small):
+                space = tuple_space(it, history_of_condition(it, small, q))
+                first[str(q)] = str(next(enumerate_points(space)))
+                pairs += small != full
+        kinds = [f.kind for f in rep.failures]
+        assert kinds.count("code-ambient") == pairs
+        assert "code-choice" in kinds and set(kinds) == {"code-ambient", "code-choice"}
+        for f in rep.failures:
+            assert f.zbar.endswith(f" at {first[f.condition]}")
+            assert {f.expected, f.actual} == {"True", "False"}
