@@ -14,17 +14,25 @@ exactly when each of its interpreted entries enters the coordinate filter
 determined by that sequence.  This compositional rule is the independent
 oracle against which the synthesized membership codes are verified.
 
+Because the rule is compositional, `SimpleIteration.filter_table` decides
+each distinct (point, entry) once per generic and joins a condition's
+entries with AND; the order matrix and `realize_filter` read their filter
+membership from such tables.
+
 Each recursion step is memoized per iteration with `posets.memoized`, in
 the iteration's one ``_memo``; `synth` and `history` keep their memos
-there too.
+there too.  Conditions, table names and generic sequences are the keys of
+those memos, so each computes its hash once (`_hash_once`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Mapping
+from functools import cached_property
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,13 +106,38 @@ DUMMY = _Dummy()
 Entry = Any  # int | _Trivial | DecisionTableName
 
 
+def _hash_once(cls):
+    """Give a frozen dataclass a hash computed once per object, from the
+    fields it compares; equality is unchanged.  String hashes differ from
+    process to process, so the cached hash, like every cached property, is
+    left out of the pickled state."""
+    hashed = tuple(f.name for f in dataclasses.fields(cls) if (f.compare if f.hash is None else f.hash))
+    stored = tuple(f.name for f in dataclasses.fields(cls))
+
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, n) for n in hashed))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {n: self.__dict__[n] for n in stored}
+
+    cls._hash = cached_property(_hash)
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Condition:
     """A finite partial map from points to entries, kept rank-sorted."""
 
     entries: tuple[tuple[Point, Entry], ...]
 
-    @property
+    @cached_property
     def domain(self) -> frozenset:
         return frozenset(x for x, _ in self.entries)
 
@@ -136,6 +169,7 @@ def make_condition(rank: Mapping[Point, int], assignments: Mapping[Point, Entry]
     return Condition(tuple(items))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class DecisionTableName:
     """An antichain-indexed table: the name takes the value paired with
@@ -256,6 +290,7 @@ class IterandAssignment:
             raise ValueError("R coordinate needs a subposet name")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class GenericSequence:
     """One generic value per point: a model value at active B/R coordinates
@@ -482,6 +517,34 @@ class SimpleIteration:
                     return False
         return True
 
+    def filter_table(self, gens: Sequence[GenericSequence], conds: Sequence[Condition]) -> np.ndarray:
+        """inside[i, g] iff conds[i] belongs to the filter induced by gens[g].
+
+        Filter membership is the AND of its entries' memberships, so each
+        distinct (point, entry) of ``conds`` is decided once per generic, by
+        `member_of_filter` on the one-entry condition, and one boolean
+        product joins the entries of each condition."""
+        items: dict[tuple[Point, Entry], int] = {}
+        rows, cols = [], []
+        for i, p in enumerate(conds):
+            for item in p.entries:
+                rows.append(i)
+                cols.append(items.setdefault(item, len(items)))
+        carries = np.zeros((len(conds), len(items)), dtype=bool)
+        carries[rows, cols] = True
+        misses = np.array(
+            [[not self.member_of_filter(z, Condition((item,))) for z in gens] for item in items],
+            dtype=bool,
+        ).reshape(len(items), len(gens))
+        return ~_bool_product(carries, misses)
+
+    @memoized
+    def induced_filters(self, a: Subset) -> tuple[dict[GenericSequence, int], np.ndarray]:
+        """The filter table of P*|A over the generics of A, and each
+        generic's column in it."""
+        gens = self.enumerate_generics(a)
+        return {z: g for g, z in enumerate(gens)}, self.filter_table(gens, self.build_poset(a).elements)
+
     def interpret_entry(self, x: Point, e: Entry, zbar: GenericSequence) -> Any:
         """Evaluate a decision-table entry under the filter induced by zbar."""
         if e is TRIV:
@@ -494,6 +557,12 @@ class SimpleIteration:
     def _interpret_table(self, e: DecisionTableName, zbase: tuple[tuple[Point, Any], ...]) -> Any:
         """The value of a table name under the generics that agree with
         ``zbase``, their projection onto the name's base."""
+        outside = {y for q in e.antichain for y in q.domain if y not in e.base}
+        if outside:
+            raise IterationError(
+                f"table name {e.label or '(unlabeled)'} reads {sorted(outside)} "
+                f"outside its base {sorted(e.base)}"
+            )
         zbar = GenericSequence(zbase)
         hits = [q for q in e.antichain if self.member_of_filter(zbar, q)]
         if not hits:
@@ -642,9 +711,7 @@ class SimpleIteration:
                 q = elems[i]
                 r_idx.append(restrictions.setdefault(q.before(x, rank), len(restrictions)))
                 e_idx.append(entries.setdefault(q.get(x), len(entries)))
-            filt = np.array(
-                [[self.member_of_filter(z, r) for z in gens] for r in restrictions], dtype=bool
-            )
+            filt = self.filter_table(gens, list(restrictions))
             carried = np.zeros((len(entries), len(gens)), dtype=bool)
             for r, e in set(zip(r_idx, e_idx)):
                 carried[e] |= filt[r]
@@ -699,25 +766,30 @@ def interpret_name(it: SimpleIteration, name: DecisionTableName, filt: Iterable[
 def realize_filter(it: SimpleIteration, zbar: GenericSequence, a: Subset | None = None) -> frozenset:
     """The induced filter G(zbar) on P*|A, audited: it must be the up-set of
     a minimal element of the built poset (equivalently, a filter meeting
-    every maximal antichain)."""
+    every maximal antichain).  For a generic of A this is a column of
+    `SimpleIteration.induced_filters`."""
     if a is None:
         a = it.template.all_points()
     poset = it.build_poset(a)
-    g = frozenset(p for p in poset.elements if it.member_of_filter(zbar, p))
-    if not g:
+    column, table = it.induced_filters(a)
+    if zbar in column:
+        inside = table[:, column[zbar]]
+    else:
+        inside = it.filter_table((zbar,), poset.elements)[:, 0]
+    if not inside.any():
         raise IterationError("induced filter is empty")
-    ids = sorted(poset.index[p] for p in g)
-    below_all = poset.leq_matrix[:, ids].all(axis=1)
-    bottoms = [i for i in np.flatnonzero(below_all) if poset.elements[i] in g]
+    leq = poset.leq_matrix
+    bottoms = np.flatnonzero(leq[:, inside].all(axis=1) & inside)
     if len(bottoms) != 1:
         raise IterationError(
             f"induced filter of [{zbar}] is not directed: no unique bottom"
         )
-    bottom = poset.elements[bottoms[0]]
-    if poset.upset(bottom) != g:
+    b = bottoms[0]
+    if (leq[b] != inside).any():
         raise IterationError(f"induced filter of [{zbar}] is not upward closed")
-    if bottom not in set(poset.minimal_elements()):
+    if leq[:, b].sum() != 1:
         raise IterationError(
-            f"induced filter of [{zbar}] misses a maximal antichain (bottom {bottom} not minimal)"
+            f"induced filter of [{zbar}] misses a maximal antichain "
+            f"(bottom {poset.elements[b]} not minimal)"
         )
-    return g
+    return frozenset(itertools.compress(poset.elements, inside))

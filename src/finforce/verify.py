@@ -123,20 +123,28 @@ def verify_main_theorem(
         rep.sampled = True
     rep.generics = len(gens)
 
-    spaces = {}
-    codes = {}
+    # each generic is projected once per distinct tuple space
+    spaces: dict = {}
+    codes, space_of = {}, {}
     for p in poset.elements:
         codes[p] = synth_E(it, full, p)
-        spaces[p] = tuple_space(it, history_of_condition(it, full, p))
+        space_of[p] = spaces.setdefault(
+            tuple_space(it, history_of_condition(it, full, p)), len(spaces)
+        )
+    fcodes = [
+        (label, name, synth_F(it, full, name),
+         spaces.setdefault(tuple_space(it, history_of_name(it, full, name)), len(spaces)))
+        for label, name in names.items()
+    ]
 
     for zbar in gens:
         g = realize_filter(it, zbar)
+        points = [restrict_tuple(zbar, t) for t in spaces]
         for p in poset.elements:
             rep.checked += 1
             direct = p in g
-            point = restrict_tuple(zbar, spaces[p])
             try:
-                via_code = eval_code(codes[p], point, strict=True)
+                via_code = eval_code(codes[p], points[space_of[p]], strict=True)
             except IllFormedComposition as exc:
                 rep.failures.append(
                     Failure("ill-formed-composition", str(p), "", str(zbar), "", str(exc))
@@ -149,9 +157,7 @@ def verify_main_theorem(
                         str(direct), str(via_code),
                     )
                 )
-        for label, name in names.items():
-            fcode = synth_F(it, full, name)
-            tspace = tuple_space(it, history_of_name(it, full, name))
+        for label, name, fcode, space in fcodes:
             direct_vals = []
             trouble = None
             for i, (antichain, values) in enumerate(zip(name.antichains, name.values)):
@@ -163,8 +169,7 @@ def verify_main_theorem(
             if trouble:
                 rep.failures.append(Failure("antichain-uniqueness", "", label, str(zbar), "1", trouble))
                 continue
-            point = restrict_tuple(zbar, tspace)
-            got, in_d = eval_fcode_detailed(fcode, point, strict=True)
+            got, in_d = eval_fcode_detailed(fcode, points[space], strict=True)
             if not in_d:
                 rep.failures.append(
                     Failure("outside-domain", "", label, str(zbar), "inside D", "outside D")
@@ -233,10 +238,13 @@ def _compare_with(reference, points, evaluate):
     """``first_difference(code)``: the first (point, reference value, code
     value) over ``points`` at which code and ``reference`` evaluate
     differently, or None.  The reference is evaluated once per point, however
-    many codes are compared with it."""
+    many codes are compared with it, and not at all against itself (the
+    memoized ``synth_E`` hands back the reference object when A = K)."""
     seen: list = []
 
     def first_difference(code):
+        if code is reference:
+            return None
         for i, pt in enumerate(points):
             if i == len(seen):
                 seen.append(evaluate(reference, pt))

@@ -1,0 +1,29 @@
+"""The benchmark's smallest verify workload stays runnable and correct.
+
+One short ``fsi4_full`` run checks every report of the four-stage FSI
+against the benchmark's recorded answers and the closed forms 8^k, 2^k,
+3^k and 5^k.  About 4 s; skipped when the benchmark directory is absent.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(ROOT, "perfbench", "run.py")
+
+
+@pytest.mark.skipif(not os.path.exists(RUN), reason="perfbench/ is absent")
+def test_fsi4_full_answers_correctly():
+    out = subprocess.run(
+        [sys.executable, RUN, "--workload", "fsi4_full", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, out.stdout[-2000:]
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

@@ -1,6 +1,11 @@
 """Membership, order, interpretation, materialization and the structural
 checks of simple iterations, on the shipped fixtures."""
 
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
@@ -10,15 +15,21 @@ from finforce import fixtures
 from finforce.iteration import (
     EMPTY_CONDITION,
     TRIV,
+    Condition,
+    DecisionTableName,
+    GenericSequence,
+    IterationError,
     NonGenericFilterError,
     NotAFilterError,
     ResourceCapExceeded,
+    SimpleIteration,
     const_name,
     interpret_name,
     realize_filter,
 )
 from finforce.models import cohen
-from finforce.synth import encode_fsi
+from finforce.synth import encode_fsi, fsi_stage_b, fsi_stage_c
+from finforce.verify import verify_main_theorem
 from finforce.workdoc import load_doc
 
 
@@ -167,6 +178,15 @@ class TestInterpretName:
         with pytest.raises(NotAFilterError):
             interpret_name(i1.iteration, i1.qc, [p0, p1])
 
+    def test_name_reading_outside_its_base(self):
+        """A table name whose antichain reads a point outside its base is an
+        IterationError naming the label and the points, not a KeyError."""
+        it, _ = fixtures.fsi2_cohen_c()
+        qname = dataclasses.replace(it.assignments["1"].qname, base=frozenset())
+        bad = encode_fsi([fsi_stage_b(it.assignments["0"].model), fsi_stage_c(3, qname)])
+        with pytest.raises(IterationError, match=r"table name Q1 reads \['0'\] outside its base \[\]"):
+            verify_main_theorem(bad)
+
 
 class TestGenerics:
     def test_empty_set(self, i1):
@@ -256,22 +276,22 @@ def _shipped_iteration(name):
     return load_doc(str(resources.files("finforce").joinpath("workdocs", name))).iteration
 
 
+# the iterations the tabulated order and filter tables are checked on
+ITERATIONS = {
+    "i1": lambda: fixtures.i1().iteration,
+    "fsi2_cohen_cohen": lambda: fixtures.fsi2_cohen_cohen()[0],
+    "fsi2_cohen_c": lambda: fixtures.fsi2_cohen_c()[0],
+    "fsi3_cohen": lambda: fixtures.fsi3_cohen()[0],
+    "case2": lambda: fixtures.case2_fixture()[0],
+    "doc_i1": lambda: _shipped_iteration("i1.json"),
+    "doc_fsi2_cc": lambda: _shipped_iteration("fsi2_cc.json"),
+    "doc_fsi2_cohen_c": lambda: _shipped_iteration("fsi2_cohen_c.json"),
+}
+over_iterations = pytest.mark.parametrize("make", list(ITERATIONS.values()), ids=list(ITERATIONS))
+
+
 class TestOrderMatrix:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: fixtures.i1().iteration,
-            lambda: fixtures.fsi2_cohen_cohen()[0],
-            lambda: fixtures.fsi2_cohen_c()[0],
-            lambda: fixtures.fsi3_cohen()[0],
-            lambda: fixtures.case2_fixture()[0],
-            lambda: _shipped_iteration("i1.json"),
-            lambda: _shipped_iteration("fsi2_cc.json"),
-            lambda: _shipped_iteration("fsi2_cohen_c.json"),
-        ],
-        ids=["i1", "fsi2_cohen_cohen", "fsi2_cohen_c", "fsi3_cohen", "case2",
-             "doc_i1", "doc_fsi2_cc", "doc_fsi2_cohen_c"],
-    )
+    @over_iterations
     def test_tabulation_matches_recursion(self, make):
         it = make()
         for a in all_subsets(it.template.points):
@@ -287,6 +307,100 @@ class TestOrderMatrix:
         poset = it.build_poset(it.template.all_points())
         assert len(poset.elements) == 4**k
         assert int(poset.leq_matrix.sum()) == 9**k
+
+
+def _pointwise_member(it, z, p):
+    """Filter membership of the whole condition, uncached: the reference for
+    the entry-wise filter table."""
+    return SimpleIteration.member_of_filter.__wrapped__(it, z, p)
+
+
+class TestFilterTable:
+    @over_iterations
+    def test_table_matches_pointwise_membership(self, make):
+        it = make()
+        for a in all_subsets(it.template.points):
+            gens = it.enumerate_generics(a)
+            for widened in (False, True):
+                elems = it.members(a, widened)
+                got = it.filter_table(gens, elems)
+                expect = np.array(
+                    [[_pointwise_member(it, z, p) for z in gens] for p in elems], dtype=bool
+                ).reshape(len(elems), len(gens))
+                assert got.shape == expect.shape
+                assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
+
+    @over_iterations
+    def test_realize_filter_matches_brute_force(self, make):
+        it = make()
+        full = it.template.all_points()
+        poset = it.build_poset(full)
+        for z in it.enumerate_generics(full):
+            assert realize_filter(it, z) == frozenset(
+                p for p in poset.elements if _pointwise_member(it, z, p)
+            )
+
+    def test_generic_outside_the_table(self, i1):
+        """A generic over a larger set still realizes its filter on P*|A."""
+        it = i1.iteration
+        a = frozenset({"a", "b"})
+        poset = it.build_poset(a)
+        for z in it.enumerate_generics(it.template.all_points()):
+            assert realize_filter(it, z, a) == frozenset(
+                p for p in poset.elements if _pointwise_member(it, z, p)
+            )
+
+
+def _hashed_objects():
+    """Equal objects built afresh on every call: a condition carrying nested
+    table names, a table name and a generic sequence."""
+    fx = fixtures.i1()
+    it = fx.iteration
+    cond = fx.cond({"a": const_name((0, 1)), "b": 2})
+    zbar = it.enumerate_generics(it.template.all_points())[5]
+    return cond, fx.qc, GenericSequence(tuple(zbar.entries))
+
+
+class TestCachedHashes:
+    def test_equal_objects_hash_equal(self):
+        first, second = _hashed_objects(), _hashed_objects()
+        assert [type(o) for o in first] == [Condition, DecisionTableName, GenericSequence]
+        for a, b in zip(first, second):
+            assert a is not b and a == b
+            assert hash(a) == hash(b)
+            assert {a: 1}[b] == 1
+
+    def test_hash_stays_out_of_pickled_state(self):
+        cond, _, _ = objs = _hashed_objects()
+        assert cond.domain == {"a", "b"} and "domain" in vars(cond)
+        for obj in objs:
+            hash(obj)
+            assert "_hash" in vars(obj)
+            state = obj.__reduce_ex__(2)[2]
+            assert "_hash" not in state and "domain" not in state
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and hash(copy) == hash(obj)
+
+    def test_unpickled_in_another_process_hash_as_built_here(self):
+        """String hashes differ between processes; an object pickled by a
+        process with another hash seed must hash like its equal built here."""
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        code = (
+            "import pickle, sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from test_iteration import _hashed_objects\n"
+            "objs = _hashed_objects()\n"
+            "[hash(o) for o in objs]\n"
+            "sys.stdout.buffer.write(pickle.dumps(objs))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, check=True)
+        for theirs, ours in zip(pickle.loads(out.stdout), _hashed_objects()):
+            assert theirs == ours
+            assert hash(theirs) == hash(ours)
+            assert {ours: 1}[theirs] == 1
 
 
 class TestEmbeddings:

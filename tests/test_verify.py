@@ -119,11 +119,13 @@ class TestSharedWork:
         assert len(uncached) == len({(id(a), id(b)) for a, b in uncached}) == 3 ** 4
 
     def test_reference_code_evaluated_once_per_point(self, case2, monkeypatch):
-        """well_definedness evaluates each condition's reference code once
-        per point of its tuple space, plus each compared code once per point."""
+        """well_definedness evaluates each compared code once per point of the
+        condition's tuple space, except a code that is the reference object
+        itself, and the reference once per point when anything else is
+        compared with it."""
         import finforce.verify as verify_mod
         from finforce.history import enumerate_points, history_of_condition, tuple_space
-        from finforce.synth import case2_contexts
+        from finforce.synth import case2_contexts, synth_E
 
         it, _ = case2
         calls = []
@@ -132,19 +134,49 @@ class TestSharedWork:
         rep = verify_well_definedness(it)
         assert rep.passed
         subsets = verify_mod._all_subsets(it)
-        want = compared = 0
+        want = compared = skipped = 0
         for small in subsets:
             x = it.template.order.max_of(small) if small else None
             delegates = x is not None and it.past_in(small, x) not in it.template.families[x]
             for q in it.members(small):
-                codes = sum(small <= a for a in subsets)
+                reference = synth_E(it, small, q)
+                codes = [synth_E(it, a, q) for a in subsets if small <= a]
                 if delegates:
-                    codes += len(case2_contexts(it, small, q))
+                    codes += [
+                        synth_E(it, small, q, chooser=lambda a, p, cands, _c=c: _c if _c in cands else cands[0])
+                        for c in case2_contexts(it, small, q)
+                    ]
+                others = sum(c is not reference for c in codes)
                 points = len(list(enumerate_points(tuple_space(it, history_of_condition(it, small, q)))))
-                want += points * (1 + codes)
-                compared += codes
+                want += points * ((others > 0) + others)
+                compared += len(codes)
+                skipped += len(codes) - others
         assert compared == rep.checked
+        assert skipped >= len([q for small in subsets for q in it.members(small)])
         assert len(calls) == want
+
+    def test_main_theorem_projects_once_per_tuple_space(self, monkeypatch):
+        """Each generic is projected once per distinct tuple space, and the
+        induced filters come from one-entry memberships only."""
+        import finforce.verify as verify_mod
+        from finforce.history import history_of_condition, tuple_space
+        from finforce.iteration import SimpleIteration
+
+        projected, decided = [], []
+        real_restrict = verify_mod.restrict_tuple
+        real_member = SimpleIteration.member_of_filter
+        monkeypatch.setattr(verify_mod, "restrict_tuple", lambda z, t: projected.append(t) or real_restrict(z, t))
+        monkeypatch.setattr(
+            SimpleIteration, "member_of_filter", lambda it, z, r: decided.append(r) or real_member(it, z, r)
+        )
+        it = cohen_fsi(4)
+        rep = verify_main_theorem(it)
+        assert rep.passed and rep.checked == 4 ** 4 * 2 ** 4
+        full = it.template.all_points()
+        spaces = {tuple_space(it, history_of_condition(it, full, p)) for p in it.build_poset(full).elements}
+        assert len(projected) == len(spaces) * rep.generics
+        assert set(projected) == spaces
+        assert decided and max(len(r.entries) for r in decided) == 1
 
     def test_nice_and_correct_at_k5(self):
         rep = verify_nice_and_correct(cohen_fsi(5))
