@@ -69,7 +69,6 @@ from .codes import (
     OrNode,
     TrueNode,
     eval_code,
-    eval_fcode,
     eval_fcode_detailed,
     fold_true,
     free_components,

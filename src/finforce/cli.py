@@ -13,7 +13,7 @@ import sys
 
 from .codes import fold_fcode, fold_true, print_code, print_fcode
 from .history import history_of_condition, history_of_name, tuple_space
-from .iteration import ResourceCapExceeded
+from .iteration import IterationError, ResourceCapExceeded
 from .models import check_nice_subposet
 from .synth import synth_E, synth_F
 from .verify import run_checks
@@ -50,7 +50,16 @@ def _validate(doc) -> list[str]:
         it = doc.iteration
         for x in it.template.points:
             asg = it.assignments[x]
-            if asg.kind != "R":
+            if asg.kind == "B":
+                continue
+            # the table name must meet its antichain on every generic of the support
+            interpret = it.interpret_subposet_spec if asg.kind == "R" else it.interpret_c_poset
+            try:
+                for zbar in it.enumerate_generics(asg.support):
+                    interpret(x, zbar)
+            except IterationError as exc:
+                diagnostics.append(f"table name at {x}: {exc}")
+            if asg.kind == "C":
                 continue
             for member, spec in zip(asg.qname.antichain, asg.qname.table):
                 try:

@@ -172,10 +172,6 @@ def eval_fcode_detailed(f: FCode, point: TuplePoint, strict: bool = True) -> tup
     return tuple(values), in_d
 
 
-def eval_fcode(f: FCode, point: TuplePoint, strict: bool = True) -> tuple:
-    return eval_fcode_detailed(f, point, strict)[0]
-
-
 def free_components(code: BorelCode) -> tuple[frozenset, dict[Point, frozenset]]:
     """The model-valued points and the per-point bit sets a code reads."""
     s_points: set = set()

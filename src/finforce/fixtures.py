@@ -21,7 +21,7 @@ from .iteration import (
     const_name,
     make_condition,
 )
-from .models import BorelPosetModel, cohen, ed, ed_naive
+from .models import cohen, ed
 from .names import RealName
 from .synth import encode_fsi, fsi_stage_b, fsi_stage_c
 from .templates import full_powerset_template
@@ -282,11 +282,3 @@ def case2_fixture() -> tuple[SimpleIteration, dict[str, RealName]]:
     m1 = make_condition(rank, {"2": const_name((1,)), "3": 1})
     deep = RealName(antichains=((m0, m1),), values=((0, 1),))
     return it, {"first_bit": first, "deep": deep}
-
-
-def all_models() -> dict[str, BorelPosetModel]:
-    return {
-        "cohen22": cohen(2, 2),
-        "ed22": ed(2, 2),
-        "ed22_naive": ed_naive(2, 2),
-    }

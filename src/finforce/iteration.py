@@ -309,9 +309,6 @@ class GenericSequence:
     def points(self) -> frozenset:
         return frozenset(x for x, _ in self.entries)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def __str__(self):
         return "; ".join(f"{x}={_zvalue_label(v)}" for x, v in self.entries)
 
@@ -459,10 +456,6 @@ class SimpleIteration:
         return ok
 
     # -- generic sequences and induced filters ------------------------------
-
-    def is_active(self, x: Point, a: Subset) -> bool:
-        asg = self.assignments[x]
-        return asg.kind == "B" or asg.support <= a
 
     @memoized
     def enumerate_generics(self, a: Subset) -> tuple[GenericSequence, ...]:

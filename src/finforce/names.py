@@ -13,7 +13,7 @@ exactly as long as it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -39,21 +39,6 @@ class RealName:
     @property
     def length(self) -> int:
         return len(self.antichains)
-
-    def value_of(self, n: int, member: Element) -> int:
-        return self.values[n][self.antichains[n].index(member)]
-
-    @classmethod
-    def from_table(
-        cls, rows: Sequence[Mapping[Element, int] | Sequence[tuple[Element, int]]]
-    ) -> "RealName":
-        antichains = []
-        values = []
-        for row in rows:
-            items = list(row.items()) if isinstance(row, Mapping) else list(row)
-            antichains.append(tuple(q for q, _ in items))
-            values.append(tuple(v for _, v in items))
-        return cls(tuple(antichains), tuple(values))
 
 
 def validate_name(p: FinitePoset, name: RealName) -> list[str]:

@@ -14,9 +14,10 @@ every sum is exact in any summation order and ``> 0`` is the boolean
 product.  The helper refuses inner dimensions of 2**24 or more.
 
 A poset caches what is derived from it alone: its compatibility matrix,
-the embedding report and reduction matrix of each sub poset checked
-against it (`check_complete_embedding_posets`, shared with
-`check_correct_system`), and the forcing answers of `names`.  This is sound
+the embedding report, sub-to-sup index array and reduction matrix of each
+sub poset checked against it (`check_complete_embedding_posets`, shared
+with `check_correct_system`, which builds no index array of its own), and
+the forcing answers of `names`.  This is sound
 because a poset never changes after construction (its order matrix is
 write-protected) and the caches are keyed by identity: sub posets by
 weak reference, so a cache entry never keeps a dropped poset alive.
@@ -297,23 +298,30 @@ def check_complete_embedding_posets(sub: FinitePoset, sup: FinitePoset) -> Embed
     return _embedding(sub, sup)[0]
 
 
-def _embedding(sub: FinitePoset, sup: FinitePoset) -> tuple[EmbeddingReport, np.ndarray | None]:
-    """The report of sub into sup and, once both posets agree on order and
-    compatibility, the reduction matrix over (sub element, sup element)."""
+def _embedding(
+    sub: FinitePoset, sup: FinitePoset
+) -> tuple[EmbeddingReport, np.ndarray | None, np.ndarray | None]:
+    """The report of sub into sup; once every element of sub is in sup, the
+    index in sup of each element of sub; and, once both posets agree on
+    order and compatibility, the reduction matrix over (sub element, sup
+    element)."""
     hit = sup._embeddings.get(sub)
     if hit is None:
         hit = sup._embeddings[sub] = _check_embedding(sub, sup)
     return hit
 
 
-def _check_embedding(sub: FinitePoset, sup: FinitePoset) -> tuple[EmbeddingReport, np.ndarray | None]:
+def _check_embedding(
+    sub: FinitePoset, sup: FinitePoset
+) -> tuple[EmbeddingReport, np.ndarray | None, np.ndarray | None]:
     failures: list[tuple] = []
     for a in sub.elements:
         if a not in sup:
             failures.append(("missing-element", a))
     if failures:
-        return EmbeddingReport(False, failures), None
+        return EmbeddingReport(False, failures), None, None
     ids = np.array([sup.index[e] for e in sub.elements])
+    ids.setflags(write=False)
     sup_leq = sup.leq_matrix[np.ix_(ids, ids)]
     mism = np.argwhere(sub.leq_matrix != sup_leq)
     for i, j in mism[:8]:
@@ -326,13 +334,13 @@ def _check_embedding(sub: FinitePoset, sup: FinitePoset) -> tuple[EmbeddingRepor
     for i, j in lost[:8]:
         failures.append(("incompatibility-lost", sub.elements[i], sub.elements[j]))
     if failures:
-        return EmbeddingReport(False, failures), None
+        return EmbeddingReport(False, failures), ids, None
     red = _reduction_matrix(sub.leq_matrix, sup.compat_matrix[ids])
     red.setflags(write=False)
     unreduced = np.flatnonzero(~red.any(axis=0))
     for q in unreduced[:8]:
         failures.append(("no-reduction", sup.elements[q]))
-    return EmbeddingReport(not failures, failures), red
+    return EmbeddingReport(not failures, failures), ids, red
 
 
 @dataclass
@@ -349,27 +357,21 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     """Brute-force the correctness property: the four inclusions are complete
     embeddings, and each reduction within <P0, Q0> persists for <P1, Q1>.
 
-    The four embedding verdicts and the <P0, Q0> reduction matrix come from
-    the per-pair cache; only the <P1, Q1> side is computed per system."""
-    failures: list[tuple] = []
-    for tag, sub, sup in (
-        ("P0<P1", s.p0, s.p1),
-        ("P0<Q0", s.p0, s.q0),
-        ("P1<Q1", s.p1, s.q1),
-        ("Q0<Q1", s.q0, s.q1),
-    ):
-        rep = check_complete_embedding_posets(sub, sup)
-        if not rep.ok:
-            failures.extend((tag,) + f for f in rep.failures)
+    The four embedding verdicts, the index maps P0 -> P1, P1 -> Q1 and
+    Q0 -> Q1, and the <P0, Q0> reduction matrix come from the per-pair
+    cache; only the <P1, Q1> reduction side is computed per system."""
+    pair = {
+        "P0<P1": _embedding(s.p0, s.p1),
+        "P0<Q0": _embedding(s.p0, s.q0),
+        "P1<Q1": _embedding(s.p1, s.q1),
+        "Q0<Q1": _embedding(s.q0, s.q1),
+    }
+    failures = [(tag,) + f for tag, (rep, _, _) in pair.items() for f in rep.failures]
     if failures:
         return EmbeddingReport(False, failures)
-    red0 = _embedding(s.p0, s.q0)[1]
-    p0_in_p1 = np.array([s.p1.index[e] for e in s.p0.elements])
-    p1_in_q1 = np.array([s.q1.index[e] for e in s.p1.elements])
-    q0_in_q1 = np.array([s.q1.index[e] for e in s.q0.elements])
-    compat1 = s.q1.compat_matrix[np.ix_(p1_in_q1, q0_in_q1)]
-    red1 = _reduction_matrix(s.p1.leq_matrix[:, p0_in_p1], compat1)
-    broken = np.argwhere(red0 & ~red1)
+    compat1 = s.q1.compat_matrix[np.ix_(pair["P1<Q1"][1], pair["Q0<Q1"][1])]
+    red1 = _reduction_matrix(s.p1.leq_matrix[:, pair["P0<P1"][1]], compat1)
+    broken = np.argwhere(pair["P0<Q0"][2] & ~red1)
     for i, j in broken[:8]:
         failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))
     return EmbeddingReport(not failures, failures)

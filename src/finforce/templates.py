@@ -5,13 +5,18 @@ Each point ``x`` of a finite linear order ``L`` carries a family ``I_x`` of
 subsets of the strict past ``L_x = {y : y < x}``.  Validation enforces the
 family axioms T1-T5; ``depth`` assigns the well-founded rank that grounds
 every later recursion (membership, histories, code synthesis).
+
+`lattice` is the one subset-lattice enumerator: every subset, every nested
+pair and every correct system <A0, A1, B0, B1> of the theorem checks comes
+from it, in the canonical subset order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import combinations, product
+from typing import Iterable, Mapping, Sequence
 
 Point = str
 Subset = frozenset
@@ -30,10 +35,6 @@ class LinearOrder:
     @cached_property
     def rank(self) -> dict[Point, int]:
         return {x: i for i, x in enumerate(self.points)}
-
-    def less(self, x: Point, y: Point) -> bool:
-        r = self.rank
-        return r[x] < r[y]
 
     def past(self, x: Point) -> Subset:
         """L_x, the strict past of x."""
@@ -194,19 +195,42 @@ def validate_template(
     # so a cycle would indicate corrupted state rather than a bad family;
     # the on-stack detector in depth() reports it as T5 either way.
     try:
-        for a in _all_subsets(template.all_points()):
+        for (a,) in lattice(order.points, SUBSETS):
             depth(template, a)
     except DepthCycleError as exc:
         return [Violation("T5", None, tuple(exc.cycle), str(exc))]
     return template
 
 
-def _all_subsets(points: Subset) -> list[Subset]:
-    items = sorted(points)
-    out = [frozenset()]
-    for x in items:
-        out += [s | {x} for s in out]
-    return out
+# Per-point states for `lattice`: which components of the tuple contain the point.
+SUBSETS = ((0,), (1,))
+NESTED_PAIRS = ((0, 0), (0, 1), (1, 1))
+CORRECT_SYSTEMS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 1, 1))
+
+
+def lattice(points: Sequence[Point], patterns: Sequence[tuple[int, ...]]) -> list[tuple[Subset, ...]]:
+    """Every tuple of subsets of ``points`` in which each point lies in the
+    components one of ``patterns`` marks with 1.
+
+    `SUBSETS` gives the 2^k subsets, `NESTED_PAIRS` the 3^k pairs K <= A and
+    `CORRECT_SYSTEMS` the 5^k systems with A0 <= A1, B0 <= B1, A1 <= B1 and
+    A1 & B0 = A0.  ``points`` come in the order of L; the tuples come
+    lexicographically by each component's position in the canonical subset
+    order (size, then rank-lexicographic), and equal components are one
+    frozenset object.
+    """
+    n = len(points)
+    # combinations by size come in the canonical subset order
+    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(points, r)]
+    masks = [sum(c) for r in range(n + 1) for c in combinations([1 << i for i in range(n)], r)]
+    position = dict(zip(masks, range(len(masks))))
+    # a code packs the masks of a tuple's components side by side, n bits
+    # apiece; steps[i] holds the bits each pattern sets for point i
+    shifts = [c * n for c in range(len(patterns[0]))]
+    steps = [[sum(b << (s + i) for b, s in zip(p, shifts)) for p in patterns] for i in range(n)]
+    full = (1 << n) - 1
+    rows = sorted([position[code >> s & full] for s in shifts] for code in map(sum, product(*steps)))
+    return [tuple(subsets[j] for j in row) for row in rows]
 
 
 def trace_family(t: IndexedTemplate, x: Point, a: Iterable[Point]) -> frozenset[Subset]:
@@ -276,5 +300,8 @@ def restrict_template(t: IndexedTemplate, a: Iterable[Point]) -> IndexedTemplate
 def full_powerset_template(points: Iterable[Point]) -> IndexedTemplate:
     """The finite-support-iteration template: I_x = all subsets of the past."""
     order = LinearOrder(tuple(points))
-    families = {x: frozenset(_all_subsets(order.past(x))) for x in order.points}
+    families = {
+        x: frozenset(a for (a,) in lattice(order.points[:i], SUBSETS))
+        for i, x in enumerate(order.points)
+    }
     return IndexedTemplate(order=order, families=families)

@@ -8,13 +8,16 @@ are independent; reports canonicalize witness order so repeated runs are
 byte-identical apart from timing.
 
 Every check takes ``(it, names=None, seed=0)``; a check that reads no names
-or draws no sample ignores those arguments.
+or draws no sample ignores those arguments.  The subsets, nested pairs and
+correct systems the checks sweep all come from `templates.lattice`, in the
+canonical subset order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .codes import IllFormedComposition, eval_code, eval_fcode_detailed
 from .history import (
@@ -34,7 +37,7 @@ from .models import check_nice_subposet
 from .names import RealName
 from .posets import CorrectSystem, check_correct_system
 from .synth import case2_contexts, synth_E, synth_F
-from .templates import Subset, _all_subsets as _powerset
+from .templates import CORRECT_SYSTEMS, NESTED_PAIRS, SUBSETS, Subset, lattice
 
 
 @dataclass
@@ -93,8 +96,21 @@ class Report:
         )
 
 
-def _all_subsets(it: SimpleIteration) -> list[Subset]:
-    return it.template.sorted_subsets(_powerset(it.template.all_points()))
+def _subsets(it: SimpleIteration) -> list[Subset]:
+    return [a for (a,) in lattice(it.template.points, SUBSETS)]
+
+
+def _supersets(it: SimpleIteration) -> list[tuple[Subset, list[Subset]]]:
+    """Each subset K with every A >= K."""
+    return [
+        (small, [a for _, a in pairs])
+        for small, pairs in groupby(lattice(it.template.points, NESTED_PAIRS), key=lambda t: t[0])
+    ]
+
+
+def _name_in_pstar(it: SimpleIteration, a: Subset, name: RealName) -> bool:
+    """Every antichain member of the name is in P*|A."""
+    return all(it.member_pstar(a, q) for ac in name.antichains for q in ac)
 
 
 def verify_main_theorem(
@@ -190,11 +206,9 @@ def verify_history_invariance(
     t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="history_invariance", names=len(names))
-    subsets = _all_subsets(it)
-    for a_small in subsets:
-        members = it.members(a_small)
-        bigger = [a for a in subsets if a_small <= a]
-        for p in members:
+    supersets = _supersets(it)
+    for a_small, bigger in supersets:
+        for p in it.members(a_small):
             h_small = history_of_condition(it, a_small, p)
             for a in bigger:
                 rep.checked += 1
@@ -222,8 +236,8 @@ def verify_history_invariance(
     full = it.template.all_points()
     for label, name in names.items():
         h_full = history_of_name(it, full, name)
-        for a in subsets:
-            if all(it.member_pstar(a, q) for ac in name.antichains for q in ac):
+        for a, _ in supersets:
+            if _name_in_pstar(it, a, name):
                 rep.checked += 1
                 h_a = history_of_name(it, a, name)
                 if h_a != h_full:
@@ -273,11 +287,9 @@ def verify_well_definedness(
             pt, v1, v2 = diff
             rep.failures.append(Failure(kind, condition, name, f"{where} at {pt}", str(v1), str(v2)))
 
-    subsets = _all_subsets(it)
-    for small in subsets:
-        members = it.members(small)
-        bigger = [a for a in subsets if small <= a]
-        for q in members:
+    supersets = _supersets(it)
+    for small, bigger in supersets:
+        for q in it.members(small):
             tspace = tuple_space(it, history_of_condition(it, small, q))
             first_difference = _compare_with(
                 synth_E(it, small, q), list(enumerate_points(tspace)),
@@ -302,10 +314,8 @@ def verify_well_definedness(
             synth_F(it, full, name), list(enumerate_points(tspace)),
             lambda f, pt: eval_fcode_detailed(f, pt, strict=False),
         )
-        for a in subsets:
-            if a != full and all(
-                it.member_pstar(a, q) for ac in name.antichains for q in ac
-            ):
+        for a, _ in supersets:
+            if a != full and _name_in_pstar(it, a, name):
                 check(first_difference, synth_F(it, a, name), "fcode-ambient", "", label, f"A={sorted(a)}")
     rep.seconds = time.perf_counter() - t0
     return rep
@@ -317,7 +327,7 @@ def verify_density(
     """P* must be dense in the widened iteration over every subset."""
     t0 = time.perf_counter()
     rep = Report(check="density")
-    for a in _all_subsets(it):
+    for a in _subsets(it):
         rep.checked += 1
         ok, witness = it.check_density_pstar(a)
         if not ok:
@@ -334,20 +344,17 @@ def verify_embeddings(
     """Complete embeddings along every nested pair of the subset lattice."""
     t0 = time.perf_counter()
     rep = Report(check="embeddings")
-    subsets = _all_subsets(it)
-    for small in subsets:
-        for big in subsets:
-            if small <= big:
-                rep.checked += 1
-                emb = it.check_complete_embedding(small, big)
-                if not emb.ok:
-                    rep.failures.append(
-                        Failure(
-                            "embedding", "", "",
-                            f"{sorted(small)} into {sorted(big)}",
-                            "complete", str(emb.failures[:3]),
-                        )
-                    )
+    for small, big in lattice(it.template.points, NESTED_PAIRS):
+        rep.checked += 1
+        emb = it.check_complete_embedding(small, big)
+        if not emb.ok:
+            rep.failures.append(
+                Failure(
+                    "embedding", "", "",
+                    f"{sorted(small)} into {sorted(big)}",
+                    "complete", str(emb.failures[:3]),
+                )
+            )
     rep.seconds = time.perf_counter() - t0
     return rep
 
@@ -371,29 +378,18 @@ def verify_nice_and_correct(
                 rep.failures.append(
                     Failure("nice-subposet", str(member), f"table at {x}", "", "", str(pr))
                 )
-    subsets = _all_subsets(it)
-    built = {a: it.build_poset(a) for a in subsets}
-    for a0 in subsets:
-        for a1 in subsets:
-            if not a0 <= a1:
-                continue
-            for b0 in subsets:
-                if not (a0 <= b0 and a1 & b0 == a0):
-                    continue
-                for b1 in subsets:
-                    if not (b0 <= b1 and a1 <= b1):
-                        continue
-                    rep.checked += 1
-                    system = CorrectSystem(built[a0], built[a1], built[b0], built[b1])
-                    res = check_correct_system(system)
-                    if not res.ok:
-                        rep.failures.append(
-                            Failure(
-                                "correct-system", "", "",
-                                f"A0={sorted(a0)} A1={sorted(a1)} B0={sorted(b0)} B1={sorted(b1)}",
-                                "correct", str(res.failures[:3]),
-                            )
-                        )
+    built = {a: it.build_poset(a) for a in _subsets(it)}
+    for a0, a1, b0, b1 in lattice(it.template.points, CORRECT_SYSTEMS):
+        rep.checked += 1
+        res = check_correct_system(CorrectSystem(built[a0], built[a1], built[b0], built[b1]))
+        if not res.ok:
+            rep.failures.append(
+                Failure(
+                    "correct-system", "", "",
+                    f"A0={sorted(a0)} A1={sorted(a1)} B0={sorted(b0)} B1={sorted(b1)}",
+                    "correct", str(res.failures[:3]),
+                )
+            )
     rep.seconds = time.perf_counter() - t0
     return rep
 

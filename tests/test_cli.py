@@ -2,10 +2,14 @@
 their determinism, and document round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import finforce
 from finforce.cli import main
 from finforce.workdoc import load_doc, parse_doc
 
@@ -70,6 +74,30 @@ class TestValidate:
         assert "iteration.1.poset.table[0].when: condition reads points outside the base []" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("name, x, key", [
+        ("fsi2_cohen_c.json", "1", "poset"),
+        ("i1.json", "c", "subposet"),
+    ])
+    def test_table_name_missing_a_generic(self, tmp_path, name, x, key):
+        """A table name whose antichain some generic of its support misses
+        fails validation and verification with a diagnostic naming the
+        coordinate, not a traceback."""
+        with open(doc_path(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["iteration"][x][key]["table"] = doc["iteration"][x][key]["table"][:1]
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        src = os.path.dirname(os.path.dirname(finforce.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for command in ("validate", "verify"):
+            out = subprocess.run(
+                [sys.executable, "-m", "finforce.cli", command, "--doc", str(bad)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert out.returncode == 1, out.stderr
+            assert f"table name at {x}: filter misses the antichain of Q_{x}" in out.stdout
+            assert "Traceback" not in out.stderr
 
 
 class TestSynth:

@@ -15,6 +15,7 @@ from finforce.posets import (
     CorrectSystem,
     FinitePoset,
     _bool_product,
+    _embedding,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     check_correct_system,
@@ -289,6 +290,25 @@ class TestSharedEmbeddings:
         assert not first.ok
         assert check_complete_embedding_posets(sub, sup) == first
         assert check_correct_system(CorrectSystem(sub, sub, sup, sup)).failures[0][0] == "P0<Q0"
+
+    def test_cached_index_maps(self):
+        """The cache entry holds the position in sup of each element of sub."""
+        s = persistence_system()
+        assert check_correct_system(s).failures == self.EXPECTED
+        for sub, sup in ((s.p0, s.p1), (s.p0, s.q0), (s.p1, s.q1), (s.q0, s.q1)):
+            ids = _embedding(sub, sup)[1]
+            assert [sup.elements[i] for i in ids] == list(sub.elements)
+
+    def test_persistence_reads_the_q0_map(self):
+        """Q1: 3 and 4 lie below 2, and 2 below 1.  Every element of P1 =
+        {0, 3, 4} is compatible with every element of Q0 = {0, 1, 2}, so
+        the reductions of <P0, Q0> persist, though 3 and 4 are incompatible
+        with each other."""
+        q1 = FinitePoset.from_relation(
+            range(5), [(2, 1), (3, 2), (4, 2)] + [(e, 0) for e in range(5)], top=0
+        )
+        s = CorrectSystem(q1.restrict({0}), q1.restrict({0, 3, 4}), q1.restrict({0, 1, 2}), q1)
+        assert check_correct_system(s).ok
 
     def test_cache_does_not_keep_sub_alive(self):
         sup = cohen(2, 2).poset

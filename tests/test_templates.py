@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finforce.templates import (
+    CORRECT_SYSTEMS,
+    NESTED_PAIRS,
+    SUBSETS,
     IndexedTemplate,
     LinearOrder,
     depth,
     depth_predecessors,
     full_powerset_template,
+    lattice,
     restrict_template,
     trace_family,
     validate_template,
@@ -115,6 +119,54 @@ class TestTrace:
                     once = trace_family(t, x, a2)
                     twice = frozenset(b & a2 for b in trace_family(t, x, a))
                     assert once == twice
+
+
+class TestLattice:
+    """The enumerator against the nested loops it replaces: every subset in
+    the canonical order, then filtered loops over it."""
+
+    @staticmethod
+    def canonical_subsets(points):
+        order = LinearOrder(points)
+        return sorted(all_subsets(points), key=order.subset_key)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_subsets(self, k):
+        points = tuple(f"p{i}" for i in range(k))
+        got = [a for (a,) in lattice(points, SUBSETS)]
+        assert got == self.canonical_subsets(points)
+        assert len(got) == 2 ** k
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_nested_pairs(self, k):
+        points = tuple(f"p{i}" for i in range(k))
+        subsets = self.canonical_subsets(points)
+        want = [(small, big) for small in subsets for big in subsets if small <= big]
+        assert lattice(points, NESTED_PAIRS) == want
+        assert len(want) == 3 ** k
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_correct_systems(self, k):
+        points = tuple(f"p{i}" for i in range(k))
+        subsets = self.canonical_subsets(points)
+        want = [
+            (a0, a1, b0, b1)
+            for a0 in subsets
+            for a1 in subsets if a0 <= a1
+            for b0 in subsets if a0 <= b0 and a1 & b0 == a0
+            for b1 in subsets if b0 <= b1 and a1 <= b1
+        ]
+        assert lattice(points, CORRECT_SYSTEMS) == want
+        assert len(want) == 5 ** k
+
+    def test_follows_the_given_order(self):
+        """Ranks come from the order of ``points``, not from the names."""
+        got = [a for (a,) in lattice(("b", "a"), SUBSETS)]
+        assert got == [frozenset(), {"b"}, {"a"}, {"a", "b"}]
+
+    def test_equal_components_are_one_object(self):
+        systems = lattice(("0", "1", "2"), CORRECT_SYSTEMS)
+        assert len({id(c) for system in systems for c in system}) == 8
 
 
 class TestDepth:

@@ -8,6 +8,7 @@ import pytest
 from finforce import posets
 from finforce.models import cohen
 from finforce.synth import encode_fsi, fsi_stage_b
+from finforce.templates import SUBSETS, lattice
 from finforce.verify import (
     CHECKS,
     run_checks,
@@ -133,7 +134,7 @@ class TestSharedWork:
         monkeypatch.setattr(verify_mod, "eval_code", lambda c, pt, strict: calls.append(c) or real(c, pt, strict))
         rep = verify_well_definedness(it)
         assert rep.passed
-        subsets = verify_mod._all_subsets(it)
+        subsets = [a for (a,) in lattice(it.template.points, SUBSETS)]
         want = compared = skipped = 0
         for small in subsets:
             x = it.template.order.max_of(small) if small else None
@@ -251,7 +252,7 @@ class TestMutatedSynthesizer:
         rep = verify_mod.verify_well_definedness(it)
         assert rep.checked == clean.checked
         first, pairs = {}, 0
-        for small in verify_mod._all_subsets(it):
+        for (small,) in lattice(it.template.points, SUBSETS):
             for q in it.members(small):
                 space = tuple_space(it, history_of_condition(it, small, q))
                 first[str(q)] = str(next(enumerate_points(space)))
