@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .codes import fold_fcode, fold_true, print_code, print_fcode
 from .history import history_of_condition, history_of_name, tuple_space
@@ -50,16 +51,21 @@ def _validate(doc) -> list[str]:
         it = doc.iteration
         for x in it.template.points:
             asg = it.assignments[x]
-            if asg.kind == "B":
-                continue
-            # the table name must meet its antichain on every generic of the support
-            interpret = it.interpret_subposet_spec if asg.kind == "R" else it.interpret_c_poset
-            try:
-                for zbar in it.enumerate_generics(asg.support):
-                    interpret(x, zbar)
-            except IterationError as exc:
-                diagnostics.append(f"table name at {x}: {exc}")
-            if asg.kind == "C":
+            # every table name must meet its antichain on every generic it is
+            # read on: the coordinate's own name over the support, an entry
+            # name over its base
+            reads = [(e.base, partial(it.interpret_entry, x, e))
+                     for e in asg.extra_entries + asg.widened_entries]
+            if asg.kind != "B":
+                interpret = it.interpret_subposet_spec if asg.kind == "R" else it.interpret_c_poset
+                reads.insert(0, (asg.support, partial(interpret, x)))
+            for base, read in reads:
+                try:
+                    for zbar in it.enumerate_generics(base):
+                        read(zbar)
+                except IterationError as exc:
+                    diagnostics.append(f"table name at {x}: {exc}")
+            if asg.kind != "R":
                 continue
             for member, spec in zip(asg.qname.antichain, asg.qname.table):
                 try:

@@ -144,15 +144,21 @@ def eval_code(code: BorelCode, point: TuplePoint, strict: bool = True) -> bool:
     raise TypeError(f"not a code node: {code!r}")
 
 
+def _eval_table(f: FCode, table, point: TuplePoint, strict: bool) -> tuple[Any, bool]:
+    """One coordinate of an FCode: the value of the member code that holds
+    and True if exactly one holds, else (f.default, False)."""
+    hits = [v for code, v in table if eval_code(code, point, strict)]
+    if len(hits) == 1:
+        return hits[0], True
+    return f.default, False
+
+
 def eval_fcode_value(f: FCode, point: TuplePoint, strict: bool = True) -> tuple[Any, bool]:
     """Evaluate a value-target FCode: (value, inside-domain flag)."""
     if f.target != "value":
         raise ValueError("expected a value-target evaluation table")
     (table,) = f.coords
-    hits = [v for code, v in table if eval_code(code, point, strict)]
-    if len(hits) == 1:
-        return hits[0], True
-    return f.default, False
+    return _eval_table(f, table, point, strict)
 
 
 def eval_fcode_detailed(f: FCode, point: TuplePoint, strict: bool = True) -> tuple[tuple, bool]:
@@ -160,16 +166,8 @@ def eval_fcode_detailed(f: FCode, point: TuplePoint, strict: bool = True) -> tup
     coordinate was decided by exactly one member code)."""
     if f.target != "real":
         raise ValueError("expected a real-target evaluation table")
-    values = []
-    in_d = True
-    for table in f.coords:
-        hits = [v for code, v in table if eval_code(code, point, strict)]
-        if len(hits) == 1:
-            values.append(hits[0])
-        else:
-            values.append(f.default)
-            in_d = False
-    return tuple(values), in_d
+    decided = [_eval_table(f, table, point, strict) for table in f.coords]
+    return tuple(v for v, _ in decided), all(ok for _, ok in decided)
 
 
 def free_components(code: BorelCode) -> tuple[frozenset, dict[Point, frozenset]]:

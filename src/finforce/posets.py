@@ -165,12 +165,12 @@ class FinitePoset:
         i = self.index[e]
         return frozenset(a for a, ok in zip(self.elements, self.leq_matrix[:, i]) if ok)
 
-    def restrict(self, subset: Iterable[Element], top: Element | None = None) -> "FinitePoset":
+    def restrict(self, subset: Iterable[Element]) -> "FinitePoset":
         keep = set(subset)
         sub = [e for e in self.elements if e in keep]
         ids = [self.index[e] for e in sub]
         leq = self.leq_matrix[np.ix_(ids, ids)]
-        return FinitePoset(sub, leq, self.top if top is None else top)
+        return FinitePoset(sub, leq, self.top)
 
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:

@@ -247,12 +247,12 @@ class DepthCycleError(Exception):
         )
 
 
-def depth_predecessors(t: IndexedTemplate, a: Subset) -> list[Subset]:
-    """Recursion predecessors of A: the past A & L_x, every trace member,
-    and every B | {x} distinct from A (the shapes used by membership,
+def depth_predecessors(t: IndexedTemplate, a: Subset) -> set[Subset]:
+    """Recursion predecessors of A, unordered: the past A & L_x, every trace
+    member, and every B | {x} distinct from A (the shapes used by membership,
     histories and code synthesis)."""
     if not a:
-        return []
+        return set()
     x = t.order.max_of(a)
     preds = {a & t.order.past(x)}
     for b in trace_family(t, x, a):
@@ -260,7 +260,7 @@ def depth_predecessors(t: IndexedTemplate, a: Subset) -> list[Subset]:
         ext = b | {x}
         if ext != a:
             preds.add(ext)
-    return t.sorted_subsets(preds)
+    return preds
 
 
 def depth(t: IndexedTemplate, a: Iterable[Point]) -> int:

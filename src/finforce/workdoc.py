@@ -47,7 +47,6 @@ class WorkbenchDoc:
     point_models: dict[str, BorelPosetModel]
     names: dict[str, RealName]
     checks: list[str]
-    max_conditions: int
     seed: int
     template_violations: list[Violation] = field(default_factory=list)
     model_violations: dict[str, list] = field(default_factory=dict)
@@ -182,6 +181,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
     JSON path) or json.JSONDecodeError (with line/column) on bad input."""
     raw = json.loads(text)
     _expect(isinstance(raw, dict), "$", "document must be a JSON object")
+    run = raw.get("run", {})
 
     tspec = raw.get("template")
     _expect(isinstance(tspec, dict), "template", "missing template block")
@@ -296,9 +296,9 @@ def parse_doc(text: str) -> WorkbenchDoc:
                     extra_entries=extra, include_constants=include_constants,
                 )
 
-        run = raw.get("run", {})
-        max_conditions = run.get("max_conditions", 100_000)
-        iteration = SimpleIteration(template, assignments, max_conditions=max_conditions)
+        iteration = SimpleIteration(
+            template, assignments, max_conditions=run.get("max_conditions", 100_000)
+        )
 
         for label, rows in raw.get("names", {}).items():
             path = f"names.{label}"
@@ -320,7 +320,6 @@ def parse_doc(text: str) -> WorkbenchDoc:
                 values.append(tuple(vs))
             names[label] = RealName(tuple(antichains), tuple(values))
 
-    run = raw.get("run", {})
     from .verify import CHECKS
 
     checks = run.get("checks", list(CHECKS))
@@ -333,7 +332,6 @@ def parse_doc(text: str) -> WorkbenchDoc:
         point_models=point_models,
         names=names,
         checks=checks,
-        max_conditions=run.get("max_conditions", 100_000),
         seed=run.get("seed", 0),
         template_violations=template_violations,
         model_violations=model_violations,
