@@ -77,10 +77,12 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize("name, path, x, label", [
-        ("fsi2_cohen_c.json", "iteration.1.poset", "1", "Q_1"),
-        ("i1.json", "iteration.c.subposet", "c", "Q_c"),
-        ("i1.json", "entries.t1", "c", "t1"),
-        ("i1.json", "widened_entries.w1", "b", "w1"),
+        pytest.param("fsi2_cohen_c.json", "iteration.1.poset", "1", "Q_1",
+                     id="fsi2_cohen_c.json-1-poset"),
+        pytest.param("i1.json", "iteration.c.subposet", "c", "Q_c",
+                     id="i1.json-c-subposet"),
+        pytest.param("i1.json", "entries.t1", "c", "t1", id="i1.json-c-t1"),
+        pytest.param("i1.json", "widened_entries.w1", "b", "w1", id="i1.json-b-w1"),
     ])
     def test_table_name_missing_a_generic(self, tmp_path, name, path, x, label):
         """A table name (a coordinate's poset or subposet name, an entry or a

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from finforce.iteration import (
 from finforce.models import cohen
 from finforce.synth import encode_fsi, fsi_stage_b, fsi_stage_c
 from finforce.verify import verify_main_theorem
+from finforce.workdoc import load_doc
 
 
 def all_subsets(points):
@@ -270,13 +272,22 @@ def _pairwise_order(it, a, elems, widened):
     return leq
 
 
-# the iterations the tabulated order and filter tables are checked on
+def _shipped_iteration(name):
+    return load_doc(str(resources.files("finforce").joinpath("workdocs", name))).iteration
+
+
+# the iterations the tabulated order and filter tables are checked on; the
+# doc_* entries read the shipped workdocs from disk with load_doc, the way
+# `finforce verify --doc` does
 ITERATIONS = {
     "i1": lambda: fixtures.i1().iteration,
     "fsi2_cohen_cohen": lambda: fixtures.fsi2_cohen_cohen()[0],
     "fsi2_cohen_c": lambda: fixtures.fsi2_cohen_c()[0],
     "fsi3_cohen": lambda: fixtures.fsi3_cohen()[0],
     "case2": lambda: fixtures.case2_fixture()[0],
+    "doc_i1": lambda: _shipped_iteration("i1.json"),
+    "doc_fsi2_cc": lambda: _shipped_iteration("fsi2_cc.json"),
+    "doc_fsi2_cohen_c": lambda: _shipped_iteration("fsi2_cohen_c.json"),
 }
 over_iterations = pytest.mark.parametrize("make", list(ITERATIONS.values()), ids=list(ITERATIONS))
 
