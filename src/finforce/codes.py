@@ -8,6 +8,14 @@ output coordinate, the value paired with the unique member code that holds
 (points where zero or several hold are outside the table's domain D and
 take the default).
 
+Synthesized codes share sub-codes, so a code is a DAG.  Evaluation runs
+over a `Batch` of tuple-space points and visits each distinct node once
+per batch: a node's value is a bit vector over the points, connectives are
+bitwise operations, a bit-atom is one column of the points, and an E-atom
+evaluates its table once and calls E once per distinct (generic value,
+condition).  A point raises exactly what short-circuit evaluation at that
+point alone would raise; a single point is the batch of one.
+
 Equality used by the verification layer is semantic (exhaustive evaluation
 over finite tuple spaces), never syntactic.  Codes serialize to
 parenthesized prefix notation with exact round-trip.
@@ -15,6 +23,7 @@ parenthesized prefix notation with exact round-trip.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -116,58 +125,254 @@ class FCode:
         return " ".join(parts) + ")"
 
 
-def eval_code(code: BorelCode, point: TuplePoint, strict: bool = True) -> bool:
-    """Standard boolean semantics over a tuple-space point."""
-    if isinstance(code, TrueNode):
-        return True
-    if isinstance(code, AndNode):
-        return all(eval_code(c, point, strict) for c in code.children)
-    if isinstance(code, OrNode):
-        return any(eval_code(c, point, strict) for c in code.children)
-    if isinstance(code, NotNode):
-        return not eval_code(code.child, point, strict)
-    if isinstance(code, BitAtom):
+class Results(Sequence):
+    """One evaluation result per point of a batch.  Reading a point at which
+    evaluation raised re-raises that exception; ``errors`` lists them as
+    (bit mask of points, exception) pairs."""
+
+    def __init__(self, values: list, errors: list):
+        self.values = values
+        self.errors = errors
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i: int):
+        i = range(len(self.values))[i]
+        for mask, exc in self.errors:
+            if mask >> i & 1:
+                raise exc
+        return self.values[i]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _restrict(errors: list, mask: int) -> list:
+    return [(m & mask, exc) for m, exc in errors if m & mask]
+
+
+class Batch:
+    """A batch of tuple-space points.
+
+    A node's value over the batch is a bit vector: an int whose bit i is the
+    value at point i, paired with the mask of points where evaluation raised
+    and the exceptions raised there.  Each node is evaluated once per batch
+    and strictness, memoized by identity; the memo holds the node, so its id
+    cannot be reused while the batch lives."""
+
+    def __init__(self, points: Iterable[TuplePoint]):
+        self.points = tuple(points)
+        self.full = (1 << len(self.points)) - 1
+        self._memo: dict[bool, dict[int, tuple]] = {True: {}, False: {}}
+        self._columns: dict = {}
+
+    def __len__(self):
+        return len(self.points)
+
+    def node(self, code: BorelCode, strict: bool) -> tuple[int, int, list]:
+        """(value, error mask, errors) of a code over the batch; the value is
+        0 wherever evaluation raised."""
+        memo = self._memo[strict]
+        hit = memo.get(id(code))
+        if hit is not None:
+            return hit[1]
+        vec = self._eval(code, strict)
+        memo[id(code)] = (code, vec)
+        return vec
+
+    def _raise_everywhere(self, exc: Exception) -> tuple[int, int, list]:
+        return 0, self.full, [(self.full, exc)]
+
+    def _eval(self, code: BorelCode, strict: bool) -> tuple[int, int, list]:
+        # and/or stop at the first child that decides a point, as all/any do,
+        # so a point only raises where short-circuit evaluation would reach
+        if isinstance(code, TrueNode):
+            return self.full, 0, []
+        if isinstance(code, AndNode):
+            alive, err, errors = self.full, 0, []
+            for child in code.children:
+                if not alive:
+                    break
+                v, e, errs = self.node(child, strict)
+                if e & alive:
+                    errors += _restrict(errs, alive)
+                    err |= e & alive
+                alive &= v
+            return alive, err, errors
+        if isinstance(code, OrNode):
+            value, dead, err, errors = 0, self.full, 0, []
+            for child in code.children:
+                if not dead:
+                    break
+                v, e, errs = self.node(child, strict)
+                if e & dead:
+                    errors += _restrict(errs, dead)
+                    err |= e & dead
+                value |= v & dead
+                dead &= ~(v | e)
+            return value, err, errors
+        if isinstance(code, NotNode):
+            v, e, errs = self.node(code.child, strict)
+            return self.full & ~(v | e), e, errs
+        if isinstance(code, BitAtom):
+            return self._bit(code.point, code.xi)
+        if isinstance(code, EAtom):
+            return self._e_atom(code, strict)
+        return self._raise_everywhere(TypeError(f"not a code node: {code!r}"))
+
+    def _bit(self, x: Point, xi: int) -> tuple[int, int, list]:
+        key = ("bit", x, xi)
+        if key not in self._columns:
+            ones, err, errors = 0, 0, []
+            for i, pt in enumerate(self.points):
+                try:
+                    if pt.bit(x, xi) == 1:
+                        ones |= 1 << i
+                except KeyError as exc:
+                    err |= 1 << i
+                    errors.append((1 << i, MissingComponent(str(exc))))
+            self._columns[key] = (ones, err, errors)
+        return self._columns[key]
+
+    def _component(self, x: Point) -> tuple[dict, int, list]:
+        """The points grouped by their value at x, and where x is missing."""
+        key = ("value", x)
+        if key not in self._columns:
+            groups: dict = {}
+            err, errors = 0, []
+            for i, pt in enumerate(self.points):
+                try:
+                    z = pt.value(x)
+                except KeyError as exc:
+                    err |= 1 << i
+                    errors.append((1 << i, exc))
+                    continue
+                groups[z] = groups.get(z, 0) | 1 << i
+            self._columns[key] = (groups, err, errors)
+        return self._columns[key]
+
+    def table(self, table, strict: bool) -> tuple[list, int, int, list]:
+        """One coordinate of an FCode: per case, (points where it is the unique
+        member code that holds, its value); the points where exactly one
+        holds; and the error mask and errors, from the first raising case."""
+        seen = many = err = 0
+        errors: list = []
+        masks = []
+        for code, _ in table:
+            v, e, errs = self.node(code, strict)
+            if e & ~err:
+                errors += _restrict(errs, ~err)
+                err |= e
+            many |= seen & v
+            seen |= v
+            masks.append(v)
+        unique = seen & ~many & ~err
+        return [(m & unique, value) for m, (_, value) in zip(masks, table)], unique, err, errors
+
+    def _e_atom(self, atom: EAtom, strict: bool) -> tuple[int, int, list]:
         try:
-            return point.bit(code.point, code.xi) == 1
-        except KeyError as exc:
-            raise MissingComponent(str(exc)) from None
-    if isinstance(code, EAtom):
-        v, in_d = eval_fcode_value(code.cond, point, strict)
-        if not in_d:
-            if strict:
-                raise IllFormedComposition(
-                    f"evaluation table at {code.point} undecided"
-                )
-            v = code.model.poset.top
-        z = point.value(code.point)
-        return bool(code.model.E(z, v))
-    raise TypeError(f"not a code node: {code!r}")
+            table = _value_table(atom.cond)
+        except ValueError as exc:
+            return self._raise_everywhere(exc)
+        cases, unique, err, errors = self.table(table, strict)
+        outside = self.full & ~(unique | err)
+        if outside and strict:
+            errors.append((outside, IllFormedComposition(f"evaluation table at {atom.point} undecided")))
+            err |= outside
+        elif outside:
+            cases.append((outside, atom.model.poset.top))
+        groups, missing, missing_errors = self._component(atom.point)
+        if missing & ~err:
+            errors += _restrict(missing_errors, ~err)
+            err |= missing
+        value = 0
+        for z, at_z in groups.items():
+            for at_v, v in cases:
+                m = at_z & at_v & ~err
+                if not m:
+                    continue
+                try:
+                    if atom.model.E(z, v):
+                        value |= m
+                except Exception as exc:  # E is the model's own relation; its failure belongs to these points
+                    errors.append((m, exc))
+                    err |= m
+        return value & ~err, err, errors
 
 
-def _eval_table(f: FCode, table, point: TuplePoint, strict: bool) -> tuple[Any, bool]:
-    """One coordinate of an FCode: the value of the member code that holds
-    and True if exactly one holds, else (f.default, False)."""
-    hits = [v for code, v in table if eval_code(code, point, strict)]
-    if len(hits) == 1:
-        return hits[0], True
-    return f.default, False
+def _evaluate(points, evaluate):
+    """``evaluate(batch)`` over a batch (a `Batch` or a sequence of points);
+    for a single `TuplePoint`, its one result, or what evaluation raised."""
+    if isinstance(points, TuplePoint):
+        return evaluate(Batch((points,)))[0]
+    return evaluate(points if isinstance(points, Batch) else Batch(points))
 
 
-def eval_fcode_value(f: FCode, point: TuplePoint, strict: bool = True) -> tuple[Any, bool]:
-    """Evaluate a value-target FCode: (value, inside-domain flag)."""
+def _value_table(f: FCode):
     if f.target != "value":
         raise ValueError("expected a value-target evaluation table")
     (table,) = f.coords
-    return _eval_table(f, table, point, strict)
+    return table
 
 
-def eval_fcode_detailed(f: FCode, point: TuplePoint, strict: bool = True) -> tuple[tuple, bool]:
-    """Evaluate a real-target FCode: (value tuple, flag that every
-    coordinate was decided by exactly one member code)."""
+def eval_code(code: BorelCode, points, strict: bool = True):
+    """Standard boolean semantics of a code: `Results` with one bool per
+    point of the batch ``points``; a single `TuplePoint` gives its bool."""
+
+    def evaluate(batch: Batch) -> Results:
+        value, _, errors = batch.node(code, strict)
+        return Results([value >> i & 1 == 1 for i in range(len(batch))], errors)
+
+    return _evaluate(points, evaluate)
+
+
+def _eval_tables(f: FCode, tables, batch: Batch, strict: bool) -> Results:
+    """Per point, the tuple of per-table values (the unique member code's
+    value, else the default) and the flag that every table was decided;
+    a point raises what its first raising table raises."""
+    n = len(batch)
+    columns, decided, err, errors = [], batch.full, 0, []
+    for table in tables:
+        cases, unique, e, errs = batch.table(table, strict)
+        if e & ~err:
+            errors += _restrict(errs, ~err)
+            err |= e
+        column = [f.default] * n
+        for mask, value in cases:
+            for i in _bits(mask):
+                column[i] = value
+        columns.append(column)
+        decided &= unique
+    values = [
+        (tuple(column[i] for column in columns), decided >> i & 1 == 1) for i in range(n)
+    ]
+    return Results(values, errors)
+
+
+def eval_fcode_value(f: FCode, points, strict: bool = True):
+    """Evaluate a value-target FCode: per point (value, inside-domain flag);
+    ``points`` as for `eval_code`."""
+    table = _value_table(f)
+
+    def evaluate(batch: Batch) -> Results:
+        res = _eval_tables(f, (table,), batch, strict)
+        return Results([(v, ok) for (v,), ok in res.values], res.errors)
+
+    return _evaluate(points, evaluate)
+
+
+def eval_fcode_detailed(f: FCode, points, strict: bool = True):
+    """Evaluate a real-target FCode: per point (value tuple, flag that every
+    coordinate was decided by exactly one member code); ``points`` as for
+    `eval_code`."""
     if f.target != "real":
         raise ValueError("expected a real-target evaluation table")
-    decided = [_eval_table(f, table, point, strict) for table in f.coords]
-    return tuple(v for v, _ in decided), all(ok for _, ok in decided)
+    return _evaluate(points, lambda batch: _eval_tables(f, f.coords, batch, strict))
 
 
 def free_components(code: BorelCode) -> tuple[frozenset, dict[Point, frozenset]]:

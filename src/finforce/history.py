@@ -173,9 +173,6 @@ class TupleSpace:
         return " ".join(parts) if parts else "(empty)"
 
 
-EMPTY_SPACE = TupleSpace((), (), (), ())
-
-
 @dataclass(frozen=True)
 class TuplePoint:
     """A point of a tuple space: one value per component, with C components
@@ -205,9 +202,6 @@ class TuplePoint:
             else:
                 parts.append(f"{x}:" + "".join(str(int(b)) for b in v))
         return "<" + "; ".join(parts) + ">"
-
-
-EMPTY_POINT = TuplePoint(())
 
 
 def tuple_space(it: SimpleIteration, h: History) -> TupleSpace:

@@ -7,7 +7,9 @@ ambient set: when the past of its maximum lies in the family, membership
 factorizes through that coordinate (an E-atom or bit-atom conjunct); when
 it does not, the construction delegates to a strictly smaller admissible
 set.  A nonempty finite set always has a maximum, so the no-maximum case
-degenerates to the empty set.
+degenerates to the empty set.  Canonical codes reuse the memoized codes of
+the smaller sets they recurse to, so equal sub-codes are one object; codes
+built under an explicit delegation chooser are rebuilt throughout.
 
 `synth_F` assembles, per output coordinate of a name, the member codes of
 its antichain with their decided values.  `encode_fsi` realizes the
@@ -89,19 +91,29 @@ def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | No
             a2 = chooser(a, p, candidates)
         else:
             a2 = it.template.canonical_choice(candidates)
-        return _synth_E(it, a2, p, chooser)
+        return _sub_code(it, a2, p, chooser)
     # no strictly smaller admissible set covers the condition's domain; the
     # factorization through the maximum is still semantically exact because
     # membership witnesses are monotone under growing ambient sets
     return _factorize(it, a, x, p, chooser)
 
 
+def _sub_code(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | None):
+    """The code of p over a smaller set inside a construction.  Without a
+    chooser it is the memoized canonical object, so equal sub-codes are one
+    node; under a chooser it is rebuilt, so that constructions compared for
+    choice independence stay independent."""
+    if chooser is None:
+        return _canonical_code(it, a, p)
+    return _synth_E(it, a, p, chooser)
+
+
 def _factorize(it: SimpleIteration, a: Subset, x: Point, p: Condition, chooser):
     past = it.past_in(a, x)
     if x not in p.domain:
-        return _synth_E(it, past, p, chooser)
+        return _sub_code(it, past, p, chooser)
     rest = p.before(x, it.rank)
-    sub = _synth_E(it, past, rest, chooser)
+    sub = _sub_code(it, past, rest, chooser)
     entry = p.get(x)
     asg = it.assignments[x]
     if asg.kind == "C":

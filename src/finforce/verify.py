@@ -15,11 +15,12 @@ canonical subset order.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import compress, groupby
 
-from .codes import IllFormedComposition, eval_code, eval_fcode_detailed
+from .codes import Batch, IllFormedComposition, eval_code, eval_fcode_detailed
 from .history import (
     enumerate_points,
     history_of_condition,
@@ -108,6 +109,20 @@ def _supersets(it: SimpleIteration) -> list[tuple[Subset, list[Subset]]]:
     ]
 
 
+def _batch_per_space(it: SimpleIteration, points_of):
+    """``batch_of(h)``: the `Batch` over ``points_of(t)`` for the tuple space
+    t of history h, built once per distinct tuple space."""
+    batches: dict = {}
+
+    def batch_of(h):
+        t = tuple_space(it, h)
+        if t not in batches:
+            batches[t] = Batch(points_of(t))
+        return batches[t]
+
+    return batch_of
+
+
 def _name_in_pstar(it: SimpleIteration, a: Subset, name: RealName) -> bool:
     """Every antichain member of the name is in P*|A."""
     return all(it.member_pstar(a, q) for ac in name.antichains for q in ac)
@@ -132,48 +147,53 @@ def verify_main_theorem(
     poset = it.build_poset(full)
     gens = it.enumerate_generics(full)
     if len(gens) > max_generics:
-        import random
-
         rng = random.Random(seed)
         gens = tuple(rng.sample(gens, max_generics))
         rep.sampled = True
     rep.generics = len(gens)
 
-    # each generic is projected once per distinct tuple space
-    spaces: dict = {}
-    codes, space_of = {}, {}
-    for p in poset.elements:
-        codes[p] = synth_E(it, full, p)
-        space_of[p] = spaces.setdefault(
-            tuple_space(it, history_of_condition(it, full, p)), len(spaces)
-        )
-    fcodes = [
-        (label, name, synth_F(it, full, name),
-         spaces.setdefault(tuple_space(it, history_of_name(it, full, name)), len(spaces)))
+    # each generic is projected once per distinct tuple space, and every
+    # code of a space is evaluated over that space's projections in one batch
+    batch_of = _batch_per_space(it, lambda t: [restrict_tuple(zbar, t) for zbar in gens])
+    membership = {
+        p: eval_code(synth_E(it, full, p), batch_of(history_of_condition(it, full, p)), strict=True)
+        for p in poset.elements
+    }
+    evaluations = [
+        (label, name, eval_fcode_detailed(synth_F(it, full, name),
+                                          batch_of(history_of_name(it, full, name)), strict=True))
         for label, name in names.items()
     ]
 
-    for zbar in gens:
+    # per generic, the conditions whose code holds there and those whose
+    # evaluation raises there; only these and the filter's members can differ
+    holds = [set() for _ in gens]
+    raises = [set() for _ in gens]
+    for p, res in membership.items():
+        for j in compress(range(len(gens)), res.values):
+            holds[j].add(p)
+        for mask, _ in res.errors:
+            for j in range(len(gens)):
+                if mask >> j & 1:
+                    raises[j].add(p)
+    position = {p: i for i, p in enumerate(poset.elements)}
+
+    for j, zbar in enumerate(gens):
         g = realize_filter(it, zbar)
-        points = [restrict_tuple(zbar, t) for t in spaces]
-        for p in poset.elements:
-            rep.checked += 1
+        rep.checked += len(poset.elements)
+        for p in sorted((g ^ holds[j]) | raises[j], key=position.__getitem__):
             direct = p in g
             try:
-                via_code = eval_code(codes[p], points[space_of[p]], strict=True)
+                via_code = membership[p][j]
             except IllFormedComposition as exc:
                 rep.failures.append(
                     Failure("ill-formed-composition", str(p), "", str(zbar), "", str(exc))
                 )
                 continue
-            if direct != via_code:
-                rep.failures.append(
-                    Failure(
-                        "membership-code", str(p), "", str(zbar),
-                        str(direct), str(via_code),
-                    )
-                )
-        for label, name, fcode, space in fcodes:
+            rep.failures.append(
+                Failure("membership-code", str(p), "", str(zbar), str(direct), str(via_code))
+            )
+        for label, name, evaluation in evaluations:
             direct_vals = []
             trouble = None
             for i, (antichain, values) in enumerate(zip(name.antichains, name.values)):
@@ -185,7 +205,7 @@ def verify_main_theorem(
             if trouble:
                 rep.failures.append(Failure("antichain-uniqueness", "", label, str(zbar), "1", trouble))
                 continue
-            got, in_d = eval_fcode_detailed(fcode, points[space], strict=True)
+            got, in_d = evaluation[j]
             if not in_d:
                 rep.failures.append(
                     Failure("outside-domain", "", label, str(zbar), "inside D", "outside D")
@@ -248,23 +268,28 @@ def verify_history_invariance(
     return rep
 
 
-def _compare_with(reference, points, evaluate):
+def _compare_with(reference, batch: Batch, evaluate):
     """``first_difference(code)``: the first (point, reference value, code
-    value) over ``points`` at which code and ``reference`` evaluate
-    differently, or None.  The reference is evaluated once per point, however
-    many codes are compared with it, and not at all against itself (the
-    memoized ``synth_E`` hands back the reference object when A = K)."""
+    value) over the points of ``batch``, in order, at which code and
+    ``reference`` evaluate differently, or None.  ``evaluate(code, batch)``
+    gives a code's values over the whole batch; the reference is evaluated
+    once, when anything else is first compared with it, and never against
+    itself (the memoized ``synth_E`` hands back the reference object when
+    A = K)."""
     seen: list = []
 
     def first_difference(code):
         if code is reference:
             return None
-        for i, pt in enumerate(points):
-            if i == len(seen):
-                seen.append(evaluate(reference, pt))
-            v = evaluate(code, pt)
-            if v != seen[i]:
-                return pt, seen[i], v
+        if not seen:
+            seen.append(evaluate(reference, batch))
+        ref, got = seen[0], evaluate(code, batch)
+        if ref.values == got.values and not (ref.errors or got.errors):
+            return None
+        for i, pt in enumerate(batch.points):
+            r, v = ref[i], got[i]
+            if v != r:
+                return pt, r, v
         return None
 
     return first_difference
@@ -287,13 +312,15 @@ def verify_well_definedness(
             pt, v1, v2 = diff
             rep.failures.append(Failure(kind, condition, name, f"{where} at {pt}", str(v1), str(v2)))
 
+    # one batch per distinct tuple space, so a node shared by the codes of
+    # several conditions is evaluated once over it
+    batch_of = _batch_per_space(it, enumerate_points)
     supersets = _supersets(it)
     for small, bigger in supersets:
         for q in it.members(small):
-            tspace = tuple_space(it, history_of_condition(it, small, q))
             first_difference = _compare_with(
-                synth_E(it, small, q), list(enumerate_points(tspace)),
-                lambda c, pt: eval_code(c, pt, strict=False),
+                synth_E(it, small, q), batch_of(history_of_condition(it, small, q)),
+                lambda c, batch: eval_code(c, batch, strict=False),
             )
             for a in bigger:
                 check(first_difference, synth_E(it, a, q), "code-ambient", str(q), "",
@@ -309,10 +336,9 @@ def verify_well_definedness(
                     check(first_difference, forced, "code-choice", str(q), "", f"A'={sorted(choice)}")
     full = it.template.all_points()
     for label, name in names.items():
-        tspace = tuple_space(it, history_of_name(it, full, name))
         first_difference = _compare_with(
-            synth_F(it, full, name), list(enumerate_points(tspace)),
-            lambda f, pt: eval_fcode_detailed(f, pt, strict=False),
+            synth_F(it, full, name), batch_of(history_of_name(it, full, name)),
+            lambda f, batch: eval_fcode_detailed(f, batch, strict=False),
         )
         for a, _ in supersets:
             if a != full and _name_in_pstar(it, a, name):

@@ -1,8 +1,10 @@
-"""The benchmark's smallest verify workload stays runnable and correct.
+"""The benchmark's verify workloads stay runnable and correct.
 
-One short ``fsi4_full`` run checks every report of the four-stage FSI
+One short run each of ``fsi4_full`` (all six checks on the four-stage FSI)
+and ``fsi5_main`` (main_theorem on the five-stage FSI) checks every report
 against the benchmark's recorded answers and the closed forms 8^k, 2^k,
-3^k and 5^k.  About 4 s; skipped when the benchmark directory is absent.
+3^k and 5^k.  A few seconds each; skipped when the benchmark directory is
+absent.
 """
 
 import json
@@ -17,9 +19,10 @@ RUN = os.path.join(ROOT, "perfbench", "run.py")
 
 
 @pytest.mark.skipif(not os.path.exists(RUN), reason="perfbench/ is absent")
-def test_fsi4_full_answers_correctly():
+@pytest.mark.parametrize("workload", ["fsi4_full", "fsi5_main"])
+def test_workload_answers_correctly(workload):
     out = subprocess.run(
-        [sys.executable, RUN, "--workload", "fsi4_full", "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, RUN, "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from finforce.codes import (
     TRUE,
     AndNode,
+    Batch,
     BitAtom,
     EAtom,
     FCode,
@@ -14,6 +15,7 @@ from finforce.codes import (
     MissingComponent,
     NotNode,
     OrNode,
+    TrueNode,
     eval_code,
     eval_fcode_detailed,
     eval_fcode_value,
@@ -27,6 +29,7 @@ from finforce.codes import (
     print_fcode,
 )
 from finforce.history import TuplePoint
+from finforce.models import cohen
 
 
 def bit_point(point, assignments):
@@ -219,3 +222,138 @@ code_strategy = st.deferred(
 def test_round_trip_random_codes(code):
     text = print_code(code)
     assert parse_code(text, {}) == code
+
+
+# ---------------------------------------------------------------------------
+# Batch evaluation against the pointwise definition
+
+S = cohen(1, 2)
+
+
+def pointwise(code, point, strict):
+    """The defining semantics, one point at a time, short-circuiting as
+    all/any do; the batch evaluator must agree with it point by point."""
+    if isinstance(code, TrueNode):
+        return True
+    if isinstance(code, AndNode):
+        return all(pointwise(c, point, strict) for c in code.children)
+    if isinstance(code, OrNode):
+        return any(pointwise(c, point, strict) for c in code.children)
+    if isinstance(code, NotNode):
+        return not pointwise(code.child, point, strict)
+    if isinstance(code, BitAtom):
+        try:
+            return point.bit(code.point, code.xi) == 1
+        except KeyError as exc:
+            raise MissingComponent(str(exc)) from None
+    (table,) = code.cond.coords
+    hits = [v for c, v in table if pointwise(c, point, strict)]
+    if len(hits) == 1:
+        v = hits[0]
+    elif strict:
+        raise IllFormedComposition(f"evaluation table at {code.point} undecided")
+    else:
+        v = code.model.poset.top
+    return bool(code.model.E(point.value(code.point), v))
+
+
+def outcome(thunk):
+    try:
+        return "value", thunk()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def e_atom(cases):
+    return EAtom("a", S, FCode("value", (tuple(cases),), S.poset.top))
+
+
+eval_strategy = st.deferred(
+    lambda: st.one_of(
+        code_strategy,
+        st.builds(NotNode, eval_strategy),
+        st.lists(eval_strategy, min_size=1, max_size=3).map(tuple).map(AndNode),
+        st.lists(eval_strategy, min_size=1, max_size=3).map(tuple).map(OrNode),
+        st.lists(st.tuples(eval_strategy, st.sampled_from(S.poset.elements)), max_size=3).map(e_atom),
+    )
+)
+
+bits_strategy = st.dictionaries(st.integers(0, 5), st.integers(0, 1)).map(
+    lambda d: tuple(sorted(d.items()))
+)
+point_strategy = st.builds(
+    lambda a, b, q: TuplePoint(tuple((x, v) for x, v in (("a", a), ("b", b), ("q", q)) if v is not None)),
+    st.one_of(st.none(), st.sampled_from(S.generic_space)),
+    st.one_of(st.none(), bits_strategy),
+    st.one_of(st.none(), bits_strategy),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_strategy, st.lists(point_strategy, max_size=8), st.booleans())
+def test_batch_matches_pointwise(code, points, strict):
+    """Over a batch, each point gets the value the pointwise definition
+    gives, or raises the same exception with the same message; a single
+    point evaluates the same way."""
+    got = eval_code(code, points, strict)
+    assert len(got) == len(points)
+    for i, pt in enumerate(points):
+        want = outcome(lambda: pointwise(code, pt, strict))
+        assert outcome(lambda: got[i]) == want
+        assert outcome(lambda: eval_code(code, pt, strict)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(eval_strategy, st.integers(0, 3)), max_size=3), max_size=3),
+       st.lists(point_strategy, max_size=6))
+def test_fcode_batch_matches_pointwise(tables, points):
+    f = FCode("real", tuple(tuple(t) for t in tables), default=9)
+
+    def detailed(pt):
+        decided = []
+        for table in f.coords:
+            hits = [v for c, v in table if pointwise(c, pt, True)]
+            decided.append((hits[0], True) if len(hits) == 1 else (f.default, False))
+        return tuple(v for v, _ in decided), all(ok for _, ok in decided)
+
+    got = eval_fcode_detailed(f, points)
+    for i, pt in enumerate(points):
+        assert outcome(lambda: got[i]) == outcome(lambda: detailed(pt))
+
+
+class TestBatch:
+    def test_fresh_nodes_on_one_batch(self):
+        """Codes built afresh and dropped between evaluations on one batch,
+        as a tampered synthesizer builds them: the memo holds every node it
+        has seen, so a new node never takes the value of a dead one whose id
+        it reuses."""
+        points = [bit_point("b", [(0, v)]) for v in (0, 1, 1, 0)]
+        batch = Batch(points)
+        for i in range(200):
+            code = NotNode(BitAtom("b", 0)) if i % 2 else AndNode((TRUE, BitAtom("b", 0)))
+            assert list(eval_code(code, batch)) == [pointwise(code, pt, True) for pt in points]
+            del code
+
+    def test_each_node_evaluated_once(self, monkeypatch):
+        """A node shared by several codes is evaluated once per batch and
+        strictness."""
+        shared = OrNode((BitAtom("b", 0), BitAtom("b", 1)))
+        batch = Batch([bit_point("b", [(0, 0), (1, v)]) for v in (0, 1)])
+        seen = []
+        real = Batch._eval
+        monkeypatch.setattr(Batch, "_eval", lambda self, c, strict: seen.append(c) or real(self, c, strict))
+        for code in (shared, NotNode(shared), AndNode((shared, TRUE))):
+            eval_code(code, batch)
+        assert sum(c is shared for c in seen) == 1
+        eval_code(shared, batch, strict=False)
+        assert sum(c is shared for c in seen) == 2
+
+    def test_short_circuit_hides_missing_component(self):
+        """A point raises only where the pointwise evaluation reaches the
+        failing atom."""
+        code = AndNode((BitAtom("b", 0), BitAtom("q", 0)))
+        points = [bit_point("b", [(0, 0)]), bit_point("b", [(0, 1)])]
+        got = eval_code(code, points)
+        assert got[0] is False
+        with pytest.raises(MissingComponent, match="missing component q"):
+            got[1]

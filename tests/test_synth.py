@@ -8,6 +8,8 @@ from finforce.codes import (
     AndNode,
     BitAtom,
     EAtom,
+    NotNode,
+    OrNode,
     eval_code,
     eval_fcode_detailed,
     fold_true,
@@ -23,8 +25,30 @@ from finforce.history import (
     tuple_space,
 )
 from finforce.iteration import EMPTY_CONDITION, const_name, realize_filter
+from finforce.models import cohen
 from finforce.names import RealName
 from finforce.synth import case2_contexts, encode_fsi, fsi_stage_b, synth_E, synth_F
+from finforce.templates import SUBSETS, lattice
+
+
+def node_objects(code, into: dict, tables: bool = True) -> dict:
+    """Every node object reachable from a code, by id; ``tables`` also
+    enters the evaluation tables of E-atoms."""
+    into[id(code)] = code
+    if isinstance(code, (AndNode, OrNode)):
+        for child in code.children:
+            node_objects(child, into, tables)
+    elif isinstance(code, NotNode):
+        node_objects(code.child, into, tables)
+    elif isinstance(code, EAtom) and tables:
+        for table in code.cond.coords:
+            for member, _ in table:
+                node_objects(member, into, tables)
+    return into
+
+
+def canonical_chooser(a, p, cands):
+    return cands[0]
 
 
 class TestCaseStructure:
@@ -107,6 +131,55 @@ class TestCase2:
                 assert it.member_of_filter(z, q) == eval_code(
                     code, restrict_tuple(z, space), strict=True
                 )
+
+
+class TestSharing:
+    def test_canonical_codes_share_sub_codes(self):
+        """The canonical codes of P*|L at k = 5 reuse the memoized codes of
+        their restrictions: 11,264 tree nodes in 1,706 objects (6,401 when
+        each restriction's code was rebuilt).  Sharing changes no code: each
+        prints as the unshared construction does, which an explicit chooser
+        still performs (FSI templates never reach case 2, so the chooser is
+        never asked)."""
+        it = encode_fsi([fsi_stage_b(cohen(1, 2))] * 5)
+        full = it.template.all_points()
+        members = it.members(full)
+        nodes: dict = {}
+        for p in members:
+            node_objects(synth_E(it, full, p), nodes)
+        assert len(members) == 1024
+        assert len(nodes) <= 1706
+        for p in members:
+            rebuilt = synth_E(it, full, p, chooser=canonical_chooser)
+            assert print_code(rebuilt) == print_code(synth_E(it, full, p))
+
+    def test_chooser_codes_are_rebuilt(self, case2):
+        """Codes built under a chooser share no node with any canonical code
+        apart from the empty condition's TRUE leaf, so well_definedness
+        compares independent constructions."""
+        it, _ = case2
+        canonical: dict = {}
+        for (a,) in lattice(it.template.points, SUBSETS):
+            for q in it.members(a):
+                node_objects(synth_E(it, a, q), canonical, tables=False)
+        forced_codes = 0
+        for (a,) in lattice(it.template.points, SUBSETS):
+            x = it.template.order.max_of(a) if a else None
+            if x is None or it.past_in(a, x) in it.template.families[x]:
+                continue
+            for q in it.members(a):
+                for choice in case2_contexts(it, a, q):
+                    forced = synth_E(
+                        it, a, q, chooser=lambda aa, pp, cands, _c=choice: _c if _c in cands else cands[0]
+                    )
+                    forced_codes += 1
+                    if forced is TRUE:
+                        assert q.is_empty()
+                        continue
+                    assert forced is not synth_E(it, a, q)
+                    fresh = node_objects(forced, {}, tables=False)
+                    assert all(node is TRUE for i, node in fresh.items() if i in canonical)
+        assert forced_codes == 50
 
 
 class TestSynthF:
