@@ -331,13 +331,13 @@ def eval_code(code: BorelCode, points, strict: bool = True):
     return _evaluate(points, evaluate)
 
 
-def _eval_tables(f: FCode, tables, batch: Batch, strict: bool) -> Results:
-    """Per point, the tuple of per-table values (the unique member code's
-    value, else the default) and the flag that every table was decided;
-    a point raises what its first raising table raises."""
+def _eval_tables(f: FCode, batch: Batch, strict: bool) -> Results:
+    """Per point, the tuple of per-coordinate values (the unique member
+    code's value, else the default) and the flag that every coordinate was
+    decided; a point raises what its first raising coordinate raises."""
     n = len(batch)
     columns, decided, err, errors = [], batch.full, 0, []
-    for table in tables:
+    for table in f.coords:
         cases, unique, e, errs = batch.table(table, strict)
         if e & ~err:
             errors += _restrict(errs, ~err)
@@ -354,25 +354,13 @@ def _eval_tables(f: FCode, tables, batch: Batch, strict: bool) -> Results:
     return Results(values, errors)
 
 
-def eval_fcode_value(f: FCode, points, strict: bool = True):
-    """Evaluate a value-target FCode: per point (value, inside-domain flag);
-    ``points`` as for `eval_code`."""
-    table = _value_table(f)
-
-    def evaluate(batch: Batch) -> Results:
-        res = _eval_tables(f, (table,), batch, strict)
-        return Results([(v, ok) for (v,), ok in res.values], res.errors)
-
-    return _evaluate(points, evaluate)
-
-
 def eval_fcode_detailed(f: FCode, points, strict: bool = True):
     """Evaluate a real-target FCode: per point (value tuple, flag that every
     coordinate was decided by exactly one member code); ``points`` as for
     `eval_code`."""
     if f.target != "real":
         raise ValueError("expected a real-target evaluation table")
-    return _evaluate(points, lambda batch: _eval_tables(f, f.coords, batch, strict))
+    return _evaluate(points, lambda batch: _eval_tables(f, batch, strict))
 
 
 def free_components(code: BorelCode) -> tuple[frozenset, dict[Point, frozenset]]:

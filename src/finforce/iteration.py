@@ -43,6 +43,7 @@ from .posets import (
     _bool_product,
     admissible_filters_upsets,
     check_complete_embedding_posets,
+    filter_defect,
     memoized,
 )
 from .templates import IndexedTemplate, Point, Subset, trace_family
@@ -598,22 +599,22 @@ class SimpleIteration:
         for c in (q, p):
             if not self.member_pstar(a, c, widened):
                 raise MembershipError(f"{c} is not a member of P{'' if widened else '*'}|{sorted(a)}")
-        return self._order_leq(a, q, p, widened)
+        return self._order_leq(a, q, p)
 
-    def _order_leq(self, a: Subset, q: Condition, p: Condition, widened: bool) -> bool:
+    def _order_leq(self, a: Subset, q: Condition, p: Condition) -> bool:
         if not p.domain <= q.domain:
             return False
         if q.is_empty():
             return True
-        return self._order_step(a, q, p, widened)
+        return self._order_step(a, q, p)
 
     @memoized
-    def _order_step(self, a: Subset, q: Condition, p: Condition, widened: bool) -> bool:
+    def _order_step(self, a: Subset, q: Condition, p: Condition) -> bool:
         x = self.template.order.max_of(q.domain)
         below = self.past_in(a, x)
         q1 = q.before(x, self.rank)
         p1 = p.before(x, self.rank)
-        if not self._order_leq(below, q1, p1, widened):
+        if not self._order_leq(below, q1, p1):
             return False
         if x in p.domain:
             eq, ep = q.get(x), p.get(x)
@@ -769,20 +770,13 @@ def realize_filter(it: SimpleIteration, zbar: GenericSequence, a: Subset | None 
         inside = table[:, column[zbar]]
     else:
         inside = it.filter_table((zbar,), poset.elements)[:, 0]
-    if not inside.any():
-        raise IterationError("induced filter is empty")
-    leq = poset.leq_matrix
-    bottoms = np.flatnonzero(leq[:, inside].all(axis=1) & inside)
-    if len(bottoms) != 1:
-        raise IterationError(
-            f"induced filter of [{zbar}] is not directed: no unique bottom"
-        )
-    b = bottoms[0]
-    if (leq[b] != inside).any():
-        raise IterationError(f"induced filter of [{zbar}] is not upward closed")
-    if leq[:, b].sum() != 1:
-        raise IterationError(
-            f"induced filter of [{zbar}] misses a maximal antichain "
-            f"(bottom {poset.elements[b]} not minimal)"
-        )
+    defect = filter_defect(poset, inside)
+    if defect is not None:
+        raise IterationError({
+            "empty": "induced filter is empty",
+            "no-least": f"induced filter of [{zbar}] is not directed: no unique bottom",
+            "not-upward-closed": f"induced filter of [{zbar}] is not upward closed",
+            "not-minimal": f"induced filter of [{zbar}] misses a maximal antichain "
+                           f"(bottom {defect.least} not minimal)",
+        }[defect.kind])
     return frozenset(itertools.compress(poset.elements, inside))

@@ -4,7 +4,9 @@ membership relation E over a finite space of generic values.
 A model *declares* its admissible generic filters together with the value
 each one realizes; `validate_borel_model` then proves they behave
 generically (each is a filter meeting every maximal antichain, and filter
-membership is characterized by E).  Declaring-then-validating matters:
+membership is characterized by E).  The filter audit is
+`posets.filter_defect`, run once per declared filter and, in
+`check_nice_subposet`, once per E-filter.  Declaring-then-validating matters:
 truncation breaks the density arguments that make the characterization
 automatic in real forcing, and the eventually-different model below is the
 documented example.
@@ -18,13 +20,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .posets import (
-    FinitePoset,
-    common_lower_bound_exists,
-    compatible,
-    filter_meets_all_maximal_antichains,
-    is_filter,
-)
+from .posets import FinitePoset, common_lower_bound_exists, compatible, filter_defect
 
 GenericValue = Hashable
 
@@ -117,20 +113,22 @@ def validate_borel_model(m: BorelPosetModel) -> list[ModelViolation]:
             )
 
     for f in m.admissible:
-        if not is_filter(m.poset, f.members):
+        inside = np.zeros(len(m.poset), dtype=bool)
+        inside[[m.poset.index[p] for p in f.members]] = True
+        defect = filter_defect(m.poset, inside)
+        if defect is not None and defect.kind != "not-minimal":
             violations.append(
                 ModelViolation("filter", (f.value,), f"declared set for eta={f.value} is not a filter")
             )
             continue
-        if not filter_meets_all_maximal_antichains(m.poset, f.members):
+        if defect is not None:
             violations.append(
                 ModelViolation(
                     "antichain-coverage", (f.value,),
                     f"filter for eta={f.value} misses a maximal antichain",
                 )
             )
-        for p in m.poset.elements:
-            in_g = p in f.members
+        for p, in_g in zip(m.poset.elements, inside.tolist()):
             holds = m.E(f.value, p)
             if in_g != holds:
                 violations.append(
@@ -178,12 +176,12 @@ def check_nice_subposet(
     q = m.poset.restrict(sub)
     violations: list[ModelViolation] = []
     for z in z_space:
-        g = frozenset(p for p in q.elements if m.E(z, p))
-        if not is_filter(q, g):
+        defect = filter_defect(q, np.array([bool(m.E(z, p)) for p in q.elements], dtype=bool))
+        if defect is not None and defect.kind != "not-minimal":
             violations.append(
                 ModelViolation("nice-filter", (z,), f"E-filter for z={z} is not a filter on Q")
             )
-        elif not filter_meets_all_maximal_antichains(q, g):
+        elif defect is not None:
             violations.append(
                 ModelViolation(
                     "nice-antichain", (z,),

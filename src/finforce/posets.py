@@ -4,7 +4,9 @@ Compatibility, antichains, reductions, complete embeddings and correct
 systems are all decided by exhaustive matrix computations.  In a finite
 poset a filter meets every maximal antichain exactly when it is the up-set
 of a minimal element, which is what makes the brute-force genericity
-oracle (`admissible_filters_upsets`) sound.
+oracle (`admissible_filters_upsets`) sound.  `filter_defect` is the one
+audit of a subset as a generic filter: declared model filters, the
+E-filters of nice subposets and induced filters all go through it.
 
 Every boolean matrix product goes through `_bool_product`, one float32
 BLAS product.  Its entries count witnesses: integers no larger than the
@@ -35,7 +37,7 @@ import inspect
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,33 +225,36 @@ def maximal_antichains(p: FinitePoset) -> list[tuple[Element, ...]]:
     return sorted(set(result), key=lambda t: (len(t), [p.index[e] for e in t]))
 
 
-def is_filter(p: FinitePoset, g: Iterable[Element]) -> bool:
-    """Upward closed and downward directed."""
-    g = frozenset(g)
-    if not g:
-        return False
-    ids = [p.index[e] for e in g]
-    up = p.leq_matrix[ids].any(axis=0)
-    if frozenset(e for e, ok in zip(p.elements, up) if ok) != g:
-        return False
-    for a in g:
-        for b in g:
-            lower = p.leq_matrix[:, p.index[a]] & p.leq_matrix[:, p.index[b]]
-            if not any(p.elements[i] in g for i in np.flatnonzero(lower)):
-                return False
-    return True
+class FilterDefect(NamedTuple):
+    """Why a subset is not a generic filter: ``kind`` is "empty",
+    "no-least", "not-upward-closed" or "not-minimal"; ``least`` is the
+    least member, which is not minimal in the poset, for "not-minimal"."""
+
+    kind: str
+    least: Element | None = None
 
 
-def filter_meets_all_maximal_antichains(p: FinitePoset, g: Iterable[Element]) -> bool:
-    """Equivalent, for finite posets, to g being the up-set of a minimal element."""
-    g = frozenset(g)
-    if not is_filter(p, g):
-        return False
-    bottom = [e for e in g if all(not (p.leq(o, e) and o != e) for o in g)]
-    if len(bottom) != 1:
-        return False
-    m = bottom[0]
-    return p.upset(m) == g and m in set(p.minimal_elements())
+def filter_defect(p: FinitePoset, inside: np.ndarray) -> FilterDefect | None:
+    """None when the members of ``inside``, a boolean mask over
+    ``p.elements``, form a generic filter, else the first defect in the
+    order empty, no least element, not upward closed, least element not
+    minimal in p.
+
+    A finite filter is the up-set of its least element, and it meets every
+    maximal antichain exactly when that element is minimal in p."""
+    members = np.flatnonzero(inside)
+    if not len(members):
+        return FilterDefect("empty")
+    leq = p.leq_matrix
+    least = members[leq[np.ix_(members, members)].all(axis=1)]
+    if len(least) != 1:
+        return FilterDefect("no-least")
+    b = least[0]
+    if (leq[b] != inside).any():
+        return FilterDefect("not-upward-closed")
+    if leq[:, b].sum() != 1:
+        return FilterDefect("not-minimal", p.elements[b])
+    return None
 
 
 def admissible_filters_upsets(p: FinitePoset) -> list[frozenset]:

@@ -36,10 +36,6 @@ from .posets import memoized
 from .templates import Point, Subset, full_powerset_template, trace_family
 
 
-class SynthesisError(Exception):
-    pass
-
-
 Chooser = Callable[[Subset, Condition, list[Subset]], Subset]
 
 

@@ -67,14 +67,6 @@ class Violation:
         return f"{self.axiom} violated at x={self.point}: {self.message}"
 
 
-class TemplateError(Exception):
-    """Raised when an operation is applied to an invalid template."""
-
-    def __init__(self, violations: list[Violation]):
-        self.violations = violations
-        super().__init__("; ".join(str(v) for v in violations))
-
-
 @dataclass
 class IndexedTemplate:
     """A validated indexed template <L, I>.

@@ -3,8 +3,10 @@
 One short run each of ``fsi4_full`` (all six checks on the four-stage FSI)
 and ``fsi5_main`` (main_theorem on the five-stage FSI) checks every report
 against the benchmark's recorded answers and the closed forms 8^k, 2^k,
-3^k and 5^k.  A few seconds each; skipped when the benchmark directory is
-absent.
+3^k and 5^k.  ``docs_verify`` checks ed_naive's validation diagnostics
+against the golden file, and ``queries`` reloads, and so validates, its
+documents on every query.  A few seconds each; skipped when the benchmark
+directory is absent.
 """
 
 import json
@@ -19,7 +21,7 @@ RUN = os.path.join(ROOT, "perfbench", "run.py")
 
 
 @pytest.mark.skipif(not os.path.exists(RUN), reason="perfbench/ is absent")
-@pytest.mark.parametrize("workload", ["fsi4_full", "fsi5_main"])
+@pytest.mark.parametrize("workload", ["docs_verify", "fsi4_full", "fsi5_main", "queries"])
 def test_workload_answers_correctly(workload):
     out = subprocess.run(
         [sys.executable, RUN, "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"],

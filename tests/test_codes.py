@@ -18,7 +18,6 @@ from finforce.codes import (
     TrueNode,
     eval_code,
     eval_fcode_detailed,
-    eval_fcode_value,
     fold_fcode,
     fold_true,
     free_components,
@@ -93,11 +92,6 @@ class TestFCode:
         )
         vals, in_d = eval_fcode_detailed(f, pt)
         assert vals == (0,) and not in_d
-
-    def test_value_target(self):
-        f = FCode(target="value", coords=(((TRUE, "v"),),), default="d")
-        v, in_d = eval_fcode_value(f, TuplePoint(()))
-        assert v == "v" and in_d
 
 
 class TestFold:

@@ -120,9 +120,7 @@ class TestOrder:
                 for q in members:
                     for p in members:
                         if p.domain <= q.domain:
-                            assert it._order_leq(small, q, p, False) == it._order_leq(
-                                big, q, p, False
-                            )
+                            assert it._order_leq(small, q, p) == it._order_leq(big, q, p)
 
     def test_nonmember_raises(self, i1):
         from finforce.iteration import MembershipError
@@ -235,6 +233,54 @@ class TestRealizeFilter:
             assert frozenset(e for e, o in zip(poset.elements, up) if o) == g
 
 
+def _non_minimal(poset):
+    minimals = set(poset.minimal_elements())
+    return next(e for e in poset.elements if e not in minimals and e != poset.top)
+
+
+# each mutated filter column, with the message realize_filter raises for it
+FILTER_DEFECTS = {
+    "empty": (
+        lambda poset: frozenset(),
+        lambda poset, z: "induced filter is empty",
+    ),
+    "two-bottoms": (
+        lambda poset: poset.upset(poset.minimal_elements()[0]) | poset.upset(poset.minimal_elements()[1]),
+        lambda poset, z: f"induced filter of [{z}] is not directed: no unique bottom",
+    ),
+    "hole-above-bottom": (
+        lambda poset: poset.upset(poset.minimal_elements()[0]) - {poset.top},
+        lambda poset, z: f"induced filter of [{z}] is not upward closed",
+    ),
+    "non-minimal-upset": (
+        lambda poset: poset.upset(_non_minimal(poset)),
+        lambda poset, z: (
+            f"induced filter of [{z}] misses a maximal antichain "
+            f"(bottom {_non_minimal(poset)} not minimal)"
+        ),
+    ),
+}
+
+
+class TestRealizeFilterAudit:
+    """Each defect of an induced-filter column raises its own message; the
+    column is mutated by shadowing `induced_filters` on a fresh i1."""
+
+    @pytest.mark.parametrize("defect", list(FILTER_DEFECTS))
+    def test_defect_raises(self, defect):
+        mutate, message = FILTER_DEFECTS[defect]
+        it = fixtures.i1().iteration
+        full = it.template.all_points()
+        poset = it.build_poset(full)
+        zbar = it.enumerate_generics(full)[0]
+        g = mutate(poset)
+        inside = np.array([e in g for e in poset.elements], dtype=bool)
+        it.induced_filters = lambda a: ({zbar: 0}, inside[:, None])
+        with pytest.raises(IterationError) as err:
+            realize_filter(it, zbar)
+        assert str(err.value) == message(poset, zbar)
+
+
 class TestDensity:
     def test_spec_extension_found(self, i1):
         """A widened condition using the ordinal-valued name at b extends to
@@ -245,7 +291,7 @@ class TestDensity:
         assert it.member_pstar(a, p, widened=True)
         assert not it.member_pstar(a, p, widened=False)
         q = i1.cond({"a": const_name((0,)), "b": 1})
-        assert it._order_leq(a, q, p, widened=True)
+        assert it._order_leq(a, q, p)
 
     def test_exhaustive_density(self, i1):
         it = i1.iteration
@@ -260,7 +306,7 @@ class TestDensity:
             assert ok
 
 
-def _pairwise_order(it, a, elems, widened):
+def _pairwise_order(it, a, elems):
     """The order matrix by the recursion, pair by pair: the reference for
     the stage-by-stage tabulation."""
     n = len(elems)
@@ -268,7 +314,7 @@ def _pairwise_order(it, a, elems, widened):
     for i, q in enumerate(elems):
         for j, p in enumerate(elems):
             if p.domain <= q.domain:
-                leq[i, j] = it._order_leq(a, q, p, widened)
+                leq[i, j] = it._order_leq(a, q, p)
     return leq
 
 
@@ -299,7 +345,7 @@ class TestOrderMatrix:
         for a in all_subsets(it.template.points):
             for widened in (False, True):
                 elems = it.members(a, widened)
-                expect = _pairwise_order(it, a, elems, widened)
+                expect = _pairwise_order(it, a, elems)
                 got = it._order_matrix(a, elems)
                 assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
 

@@ -1,6 +1,8 @@
 """Borel-poset model validation: the built-ins, the documented truncation
 pathology, nice subposets and the linked/centered checks."""
 
+import dataclasses
+
 import pytest
 
 from finforce.models import (
@@ -128,6 +130,33 @@ class TestNiceSubposet:
     def test_empty_z_rejected(self, ed22):
         with pytest.raises(ValueError):
             check_nice_subposet(ed22, ed22.poset.elements, [])
+
+
+class TestFilterAudit:
+    """Each filter defect maps to its violation kind: a declared set that is
+    not a filter, or a declared filter above a non-minimal element; an
+    E-filter of a subposet likewise."""
+
+    @pytest.mark.parametrize("members, expect", [
+        (set(), ["filter"]),
+        ({(), (0,), (1,), (0, 0), (1, 1)}, ["filter"]),
+        ({(0,), (0, 0)}, ["filter"]),
+        ({(), (0,)}, ["antichain-coverage", "E-characterization"]),
+    ], ids=["empty", "two-bottoms", "top-missing", "non-minimal-upset"])
+    def test_declared_filter(self, cohen22, members, expect):
+        declared = (AdmissibleFilter(frozenset(members), (0, 0)),)
+        model = dataclasses.replace(cohen22, admissible=declared)
+        assert [v.check for v in validate_borel_model(model)] == expect
+
+    @pytest.mark.parametrize("relation, expect", [
+        (lambda z, s: False, "nice-filter"),
+        (lambda z, s: s != (), "nice-filter"),
+        (lambda z, s: z[: len(s)] == s and len(s) < 2, "nice-antichain"),
+    ], ids=["empty", "top-missing", "non-minimal-upset"])
+    def test_e_filter_of_subposet(self, cohen22, relation, expect):
+        model = dataclasses.replace(cohen22, relation=relation)
+        problems = check_nice_subposet(model, model.poset.elements, [(0, 0)])
+        assert [(v.check, v.witness) for v in problems] == [(expect, ((0, 0),))]
 
 
 class TestLinkedValidation:

@@ -20,8 +20,7 @@ from finforce.posets import (
     check_complete_embedding_posets,
     check_correct_system,
     compatible,
-    filter_meets_all_maximal_antichains,
-    is_filter,
+    filter_defect,
     is_maximal_antichain,
     is_reduction,
     maximal_antichains,
@@ -101,6 +100,10 @@ class TestAntichains:
             assert is_maximal_antichain(c, a)
 
 
+def _mask(p, g):
+    return np.array([e in g for e in p.elements], dtype=bool)
+
+
 class TestGenericFilters:
     def test_vee_filters(self):
         p = vee_poset()
@@ -123,15 +126,14 @@ class TestGenericFilters:
     def test_filters_meet_every_maximal_antichain(self):
         c = cohen(2, 2).poset
         for g in admissible_filters_upsets(c):
-            assert filter_meets_all_maximal_antichains(c, g)
+            assert filter_defect(c, _mask(c, g)) is None
             for a in maximal_antichains(c):
                 assert len(g & set(a)) == 1
 
     def test_non_minimal_upset_misses_an_antichain(self):
         c = cohen(2, 2).poset
         g = c.upset((0,))
-        assert is_filter(c, g)
-        assert not filter_meets_all_maximal_antichains(c, g)
+        assert filter_defect(c, _mask(c, g)).kind == "not-minimal"
 
 
 def random_poset_strategy():
@@ -159,7 +161,28 @@ def test_upsets_of_minimals_are_exactly_the_generic_filters(p):
     minimals = set(p.minimal_elements())
     for e in p.elements:
         g = p.upset(e)
-        assert filter_meets_all_maximal_antichains(p, g) == (e in minimals)
+        assert (filter_defect(p, _mask(p, g)) is None) == (e in minimals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_poset_strategy())
+def test_filter_audit_matches_brute_force_on_every_subset(p):
+    """The audit accepts exactly the nonempty, upward closed, pairwise
+    bounded-below subsets that meet every maximal antichain once, and it
+    reports a non-minimal least element exactly for the filters that miss
+    the antichain condition."""
+    leq = p.leq_matrix
+    n = len(p)
+    antichains = [{p.index[e] for e in a} for a in maximal_antichains(p)]
+    for bits in range(1 << n):
+        g = {i for i in range(n) if bits >> i & 1}
+        upward_closed = all(j in g for i in g for j in range(n) if leq[i, j])
+        directed = all(any(leq[c, a] and leq[c, b] for c in g) for a in g for b in g)
+        is_filter = bool(g) and upward_closed and directed
+        meets_once = all(len(g & a) == 1 for a in antichains)
+        defect = filter_defect(p, np.array([i in g for i in range(n)], dtype=bool))
+        assert (defect is None) == (is_filter and meets_once), (sorted(g), defect)
+        assert (defect is not None and defect.kind == "not-minimal") == (is_filter and not meets_once)
 
 
 class _Owner:
