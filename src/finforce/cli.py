@@ -38,6 +38,9 @@ def _load(path: str):
     except DocError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
+    except ResourceCapExceeded as exc:
+        print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return None, EXIT_CAP
 
 
 def _validate(doc) -> list[str]:

@@ -10,6 +10,12 @@ membership is characterized by E).  The filter audit is
 truncation breaks the density arguments that make the characterization
 automatic in real forcing, and the eventually-different model below is the
 documented example.
+
+The built-ins' order matrices are built from small tables, not pair by
+pair: a prefix table over stems serves `cohen` as its whole order, and
+`ed` joins it with a subset table over function sets and a clash table
+(stem pairs against function sets), broadcast to all pairs of conditions.
+The linked check reads one block of `compat_matrix` per linked block.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .posets import FinitePoset, common_lower_bound_exists, compatible, filter_defect
+from .posets import FinitePoset, common_lower_bound_exists, filter_defect
 
 GenericValue = Hashable
 
@@ -142,8 +148,13 @@ def validate_borel_model(m: BorelPosetModel) -> list[ModelViolation]:
     for block in m.linked_partition:
         covered |= block
         members = sorted(block, key=m.poset.index.__getitem__)
-        for a, b in itertools.combinations(members, 2):
-            if not compatible(m.poset, a, b):
+        # singleton blocks (all of cohen's) have no pairs and need no compat_matrix
+        if len(members) > 1:
+            ids = [m.poset.index[p] for p in members]
+            apart = ~m.poset.compat_matrix[np.ix_(ids, ids)]
+            # row-major order of the upper triangle is itertools.combinations order
+            for i, j in zip(*np.nonzero(np.triu(apart, 1))):
+                a, b = members[i], members[j]
                 violations.append(
                     ModelViolation(
                         "linked", (a, b),
@@ -204,17 +215,30 @@ def _strings_up_to(k: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _stem_table(stems: Sequence[tuple[int, ...]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stems as rows of letters, padded with -1 past each stem's end,
+    and the stems' lengths."""
+    letters = np.full((len(stems), k), -1, dtype=np.int64)
+    for i, s in enumerate(stems):
+        letters[i, : len(s)] = s
+    return letters, np.array([len(s) for s in stems], dtype=np.int64)
+
+
+def _prefix_table(letters: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """prefix[i, j] iff stem j is a prefix of stem i: at every position
+    before j's end, i carries j's letter (padding never matches a letter,
+    so i is no shorter than j)."""
+    before_end = np.arange(letters.shape[1]) < ends[:, None]
+    same = letters[:, None, :] == letters[None, :, :]
+    return (same | ~before_end[None, :, :]).all(axis=2)
+
+
 def cohen(k: int = 2, m: int = 2) -> BorelPosetModel:
     """Cohen forcing truncated to stems of length <= k over an m-letter
     alphabet.  E(z, s) holds when s is a prefix of z; the admissible filters
     are the prefix filters of the length-k strings."""
     elements = _strings_up_to(k, m)
-    n = len(elements)
-    idx = {e: i for i, e in enumerate(elements)}
-    leq = np.zeros((n, n), dtype=bool)
-    for s in elements:
-        for t in elements:
-            leq[idx[s], idx[t]] = s[: len(t)] == t
+    leq = _prefix_table(*_stem_table(elements, k))
     poset = FinitePoset(elements, leq, ())
     space = tuple(s for s in elements if len(s) == k)
 
@@ -237,18 +261,6 @@ def cohen(k: int = 2, m: int = 2) -> BorelPosetModel:
     )
 
 
-def _ed_order(k: int):
-    def leq(strong, weak) -> bool:
-        (s2, f2), (s1, f1) = strong, weak
-        if s2[: len(s1)] != s1 or not (f1 <= f2):
-            return False
-        return all(
-            s2[i] != x[i] for i in range(len(s1), len(s2)) for x in f1
-        )
-
-    return leq
-
-
 def _ed_relation(k: int):
     def relation(z, cond) -> bool:
         s, f = cond
@@ -260,6 +272,10 @@ def _ed_relation(k: int):
 
 
 def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, tuple]:
+    """(s2, f2) <= (s1, f1) iff s1 is a prefix of s2, f1 is a subset of f2,
+    and no function of f1 agrees with s2 at a position in [len(s1), len(s2)).
+    Each clause is a table over stems or function sets, and the order is
+    their conjunction broadcast to [s2, f2, s1, f1]."""
     stems = _strings_up_to(k, m)
     funcs = sorted(itertools.product(range(m), repeat=k))
     fsets = []
@@ -267,13 +283,25 @@ def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, tuple]:
         for combo in itertools.combinations(funcs, r):
             fsets.append(frozenset(combo))
     elements = [(s, f) for s in stems for f in fsets]
-    leq_fn = _ed_order(k)
+
+    letters, ends = _stem_table(stems, k)
+    prefix = _prefix_table(letters, ends)
+    # holds[f, x]: function x belongs to set f
+    holds = np.array([[x in f for x in funcs] for f in fsets], dtype=bool)
+    subset = ~(holds[None, :, :] & ~holds[:, None, :]).any(axis=2)
+    # agree[s2, s1, x]: x agrees with s2 at a position in [len(s1), len(s2))
+    hits = letters[:, :, None] == np.array(funcs, dtype=np.int64).T[None, :, :]
+    fresh = np.arange(k) >= ends[:, None]
+    agree = (hits[:, None, :, :] & fresh[None, :, :, None]).any(axis=2)
+    clash = (agree[:, :, None, :] & holds[None, None, :, :]).any(axis=3)
+
+    leq = (
+        prefix[:, None, :, None]
+        & subset[None, :, None, :]
+        & ~clash[:, None, :, :]
+    )
     n = len(elements)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            leq[i, j] = leq_fn(a, b)
-    poset = FinitePoset(elements, leq, ((), frozenset()))
+    poset = FinitePoset(elements, leq.reshape(n, n), ((), frozenset()))
     space = tuple(tuple(z) for z in itertools.product(range(m), repeat=k))
     return poset, space, tuple(stems)
 

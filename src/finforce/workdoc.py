@@ -18,6 +18,7 @@ from .iteration import (
     Condition,
     DecisionTableName,
     IterandAssignment,
+    ResourceCapExceeded,
     SimpleIteration,
     SmallPosetSpec,
     SubposetSpec,
@@ -63,21 +64,52 @@ def _expect(cond: bool, path: str, message: str):
         raise DocError(path, message)
 
 
-def _parse_model(label: str, spec: dict) -> BorelPosetModel:
+def _natural(v: Any, least: int = 0) -> bool:
+    """A JSON integer of at least `least`; JSON true and false are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _model_size(builtin: str, length: int, alphabet: int, cap: int) -> int:
+    """The element count of a built-in model from its closed form: the stems
+    sum alphabet**i over i <= length, and ed and ed_naive pair each stem with
+    each of the 2**(alphabet**length) function sets.  A count past 2**4096
+    (or past the cap's bit length, if longer) is cut short there: it stays
+    over cap, and no huge power is formed or printed."""
+    bits = max(cap.bit_length(), 4096)
+    stems, width = 0, 1
+    for _ in range(length + 1):
+        stems += width
+        if stems.bit_length() > bits:
+            return stems
+        width *= alphabet
+    if builtin == "cohen":
+        return stems
+    return stems << min(width // alphabet, bits)
+
+
+def _parse_model(label: str, spec: dict, cap: int) -> BorelPosetModel:
+    """Build a built-in model, refusing one with more elements than cap
+    before any construction: each element is a condition at every B
+    coordinate the model serves."""
     path = f"models.{label}"
     _expect(isinstance(spec, dict), path, "model spec must be an object")
     builtin = spec.get("builtin")
     _expect(builtin in _BUILTINS, path, f"unknown builtin {builtin!r}")
     length = spec.get("length", 2)
     alphabet = spec.get("alphabet", 2)
-    _expect(isinstance(length, int) and length >= 1, path, "length must be a positive integer")
-    _expect(isinstance(alphabet, int) and alphabet >= 2, path, "alphabet must be at least 2")
+    _expect(_natural(length, 1), path, "length must be a positive integer")
+    _expect(_natural(alphabet, 2), path, "alphabet must be at least 2")
+    size = _model_size(builtin, length, alphabet, cap)
+    if size > cap:
+        raise ResourceCapExceeded(
+            f"elements of model {label} = {builtin}({length},{alphabet})", size, cap
+        )
     return _BUILTINS[builtin](length, alphabet)
 
 
 def _parse_entry_literal(lit: Any, point: str, point_models: dict,
                          entry_names: dict, path: str):
-    if isinstance(lit, int):
+    if _natural(lit):
         return lit
     if lit == "trivial":
         return TRIV
@@ -137,10 +169,10 @@ def _parse_table_name(label: str, spec: dict, rank, point_models, entry_names,
 def _parse_small_poset(value: Any, path: str) -> SmallPosetSpec:
     _expect(isinstance(value, dict) and "size" in value, path, "poset value needs a size")
     size = value["size"]
-    _expect(isinstance(size, int) and size >= 1, path, "size must be a positive integer")
+    _expect(_natural(size, 1), path, "size must be a positive integer")
 
     def ordinal(v: Any) -> bool:
-        return isinstance(v, int) and 0 <= v < size
+        return _natural(v) and v < size
 
     leq = value.get("leq", [])
     _expect(isinstance(leq, list), f"{path}.leq", "leq must be a list of pairs")
@@ -182,6 +214,8 @@ def parse_doc(text: str) -> WorkbenchDoc:
     raw = json.loads(text)
     _expect(isinstance(raw, dict), "$", "document must be a JSON object")
     run = raw.get("run", {})
+    max_conditions = run.get("max_conditions", 100_000)
+    _expect(_natural(max_conditions), "run.max_conditions", "max_conditions must be a natural")
 
     tspec = raw.get("template")
     _expect(isinstance(tspec, dict), "template", "missing template block")
@@ -204,7 +238,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
     models: dict[str, BorelPosetModel] = {}
     model_violations: dict[str, list] = {}
     for label, spec in raw.get("models", {}).items():
-        models[label] = _parse_model(label, spec)
+        models[label] = _parse_model(label, spec, max_conditions)
         problems = validate_borel_model(models[label])
         if problems:
             model_violations[label] = problems
@@ -247,7 +281,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
             _expect(point in set(points), f"widened_entries.{label}", f"unknown point {point!r}")
 
             def ordinal_parser(v, path):
-                _expect(isinstance(v, int) and v >= 0, path, "widened values must be ordinals")
+                _expect(_natural(v), path, "widened values must be ordinals")
                 return v
 
             widened_names[label] = _parse_table_name(
@@ -270,7 +304,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
                 )
             elif kind == "C":
                 gamma = cfg.get("gamma")
-                _expect(isinstance(gamma, int) and gamma >= 1, path, "C needs a gamma")
+                _expect(_natural(gamma, 1), path, "C needs a gamma")
                 pspec = cfg.get("poset")
                 _expect(isinstance(pspec, dict), path, "C needs a poset name")
                 qname = _parse_table_name(
@@ -297,7 +331,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
                 )
 
         iteration = SimpleIteration(
-            template, assignments, max_conditions=run.get("max_conditions", 100_000)
+            template, assignments, max_conditions=max_conditions
         )
 
         for label, rows in raw.get("names", {}).items():
@@ -314,7 +348,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
                     _expect(isinstance(case, dict) and "when" in case and "value" in case,
                             cpath, "cases need 'when' and 'value'")
                     ac.append(_parse_condition(case["when"], rank, point_models, entry_names, cpath))
-                    _expect(isinstance(case["value"], int), cpath, "name values are naturals")
+                    _expect(_natural(case["value"]), cpath, "name values are naturals")
                     vs.append(case["value"])
                 antichains.append(tuple(ac))
                 values.append(tuple(vs))

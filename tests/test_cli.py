@@ -3,6 +3,7 @@ their determinism, and document round trips."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -16,6 +17,20 @@ from finforce.workdoc import load_doc, parse_doc
 
 def doc_path(name: str) -> str:
     return str(resources.files("finforce").joinpath("workdocs", name))
+
+
+def edited_doc(tmp_path, name: str, keys: tuple, value) -> str:
+    """A copy of a shipped document with the value at `keys` (dict keys and
+    list indices) replaced; returns the copy's path."""
+    with open(doc_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    spec = doc
+    for key in keys[:-1]:
+        spec = spec[key]
+    spec[keys[-1]] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(doc))
+    return str(out)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +66,7 @@ class TestValidate:
         ("leq", [[1]], ".leq[0]"),
         ("leq", [["a", 0]], ".leq[0]"),
         ("blocks", 5, ".blocks"),
+        ("leq", [[True, 0]], ".leq[0]"),
     ])
     def test_malformed_c_poset_value(self, tmp_path, capsys, key, value, where):
         """A malformed poset value at a C coordinate is a parse error that
@@ -62,6 +78,40 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--doc", str(bad)]) == 2
         assert f"parse error: iteration.1.poset.table[0]{where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys, value, message", [
+        pytest.param("fsi2_cc.json", ("models", "S", "length"), True,
+                     "models.S: length must be a positive integer", id="length"),
+        pytest.param("fsi2_cc.json", ("models", "S", "alphabet"), True,
+                     "models.S: alphabet must be at least 2", id="alphabet"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "poset", "table", 0, "value", "size"),
+                     True, "iteration.1.poset.table[0]: size must be a positive integer",
+                     id="size"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "gamma"), True,
+                     "iteration.1: C needs a gamma", id="gamma"),
+        pytest.param("i1.json", ("widened_entries", "w1", "table", 0, "value"), True,
+                     "widened_entries.w1.table[0]: widened values must be ordinals",
+                     id="widened-value"),
+        pytest.param("fsi2_cohen_c.json", ("names", "mixed", 0, 0, "when", "1"), True,
+                     "names.mixed[0][0].1: cannot read entry literal True", id="entry-literal"),
+        pytest.param("fsi2_cohen_c.json", ("names", "mixed", 0, 0, "when", "1"), -1,
+                     "names.mixed[0][0].1: cannot read entry literal -1",
+                     id="entry-literal-negative"),
+        pytest.param("fsi2_cc.json", ("names", "stage1_bit", 0, 0, "value"), True,
+                     "names.stage1_bit[0][0]: name values are naturals", id="name-value"),
+        pytest.param("fsi2_cc.json", ("names", "stage1_bit", 0, 0, "value"), -1,
+                     "names.stage1_bit[0][0]: name values are naturals",
+                     id="name-value-negative"),
+        pytest.param("fsi2_cc.json", ("run", "max_conditions"), True,
+                     "run.max_conditions: max_conditions must be a natural",
+                     id="max-conditions"),
+    ])
+    def test_natural_fields(self, tmp_path, capsys, name, keys, value, message):
+        """Fields that hold naturals reject JSON booleans (which Python reads
+        as ints) and negative numbers with a parse error at their path."""
+        bad = edited_doc(tmp_path, name, keys, value)
+        assert main(["validate", "--doc", bad]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
     def test_name_reading_outside_its_base(self, tmp_path, capsys):
         """A table name is evaluated on its base alone, so a case that reads
@@ -185,6 +235,36 @@ class TestVerify:
             "verify", "--doc", i1_doc, "--max-conditions", "5",
         ])
         assert code == 3
+
+
+def _limit_address_space():
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestModelSizeCap:
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["synth", "--name", "stage1_bit"], ["verify"],
+    ], ids=["validate", "synth", "verify"])
+    def test_oversized_model_exits_3(self, tmp_path, command):
+        """ed(4,2) has 31 * 2**16 elements, over the default cap of 100,000
+        conditions: it is refused before it is built, so every command exits
+        3 quickly and within an address-space limit far below its n**2 order
+        matrix."""
+        bad = edited_doc(tmp_path, "fsi2_cc.json", ("models", "S"),
+                         {"builtin": "ed", "length": 4, "alphabet": 2})
+        src = os.path.dirname(os.path.dirname(finforce.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "finforce.cli", command[0], "--doc", bad, *command[1:]],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=_limit_address_space,
+        )
+        assert out.returncode == 3, out.stderr
+        assert out.stderr == (
+            "resource cap exceeded: elements of model S = ed(4,2) "
+            "would need 2031616 > cap 100000\n"
+        )
 
 
 class TestDocRoundTrip:

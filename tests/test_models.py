@@ -2,11 +2,14 @@
 pathology, nice subposets and the linked/centered checks."""
 
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
 from finforce.models import (
     AdmissibleFilter,
+    ModelViolation,
     check_nice_subposet,
     cohen,
     ed,
@@ -77,6 +80,67 @@ class TestEd:
         for block in ed22.linked_partition:
             stems = {p[0] for p in block}
             assert len(stems) == 1
+
+
+def _ed_leq(strong, weak) -> bool:
+    """The paper's ed order, pair by pair: (s2, f2) <= (s1, f1) iff s2
+    extends s1, f2 contains f1, and on the positions s2 adds no function of
+    f1 agrees with s2."""
+    (s2, f2), (s1, f1) = strong, weak
+    if s2[: len(s1)] != s1 or not (f1 <= f2):
+        return False
+    return all(s2[i] != x[i] for i in range(len(s1), len(s2)) for x in f1)
+
+
+def _cohen_leq(s, t) -> bool:
+    return s[: len(t)] == t
+
+
+def _strings(k, m):
+    return [s for n in range(k + 1) for s in itertools.product(range(m), repeat=n)]
+
+
+def _ed_elements(k, m):
+    funcs = sorted(itertools.product(range(m), repeat=k))
+    fsets = [frozenset(c) for r in range(len(funcs) + 1)
+             for c in itertools.combinations(funcs, r)]
+    return [(s, f) for s in _strings(k, m) for f in fsets]
+
+
+def _oracle_matrix(elements, leq):
+    return np.array([[leq(a, b) for b in elements] for a in elements], dtype=bool)
+
+
+ED_SIZES = [(1, 2), (2, 2), (1, 3)]
+COHEN_SIZES = [(k, m) for k in (1, 2, 3) for m in (2, 3)]
+
+
+class TestOrderOracle:
+    """The built orders equal the per-pair definitions, cell for cell and in
+    element order."""
+
+    @pytest.mark.parametrize("build", [ed, ed_naive], ids=["ed", "ed_naive"])
+    @pytest.mark.parametrize("k, m", ED_SIZES)
+    def test_ed(self, build, k, m):
+        poset = build(k, m).poset
+        elements = _ed_elements(k, m)
+        assert list(poset.elements) == elements
+        assert np.array_equal(poset.leq_matrix, _oracle_matrix(elements, _ed_leq))
+
+    @pytest.mark.parametrize("k, m", COHEN_SIZES)
+    def test_cohen(self, k, m):
+        poset = cohen(k, m).poset
+        elements = _strings(k, m)
+        assert list(poset.elements) == elements
+        assert np.array_equal(poset.leq_matrix, _oracle_matrix(elements, _cohen_leq))
+
+    @pytest.mark.parametrize("k, m", ED_SIZES)
+    def test_ed_validates(self, k, m):
+        assert validate_borel_model(ed(k, m)) == []
+
+    @pytest.mark.parametrize("k, m", COHEN_SIZES)
+    def test_cohen_validates(self, k, m):
+        assert validate_borel_model(cohen(k, m)) == []
 
 
 class TestEdNaivePathology:
@@ -174,6 +238,19 @@ class TestLinkedValidation:
         )
         violations = validate_borel_model(bad)
         assert any(v.check == "linked" for v in violations)
+
+    def test_witness_order(self, cohen22):
+        """Each incompatible pair of a block is one violation, members in
+        poset order and pairs in combinations order."""
+        block = frozenset({(0, 0), (1,), (0,)})
+        rest = tuple(frozenset([p]) for p in cohen22.poset.elements if p not in block)
+        model = dataclasses.replace(
+            cohen22, linked_partition=(block,) + rest, centered=False
+        )
+        assert validate_borel_model(model) == [
+            ModelViolation("linked", ((0,), (1,)), "block members 0, 1 incompatible"),
+            ModelViolation("linked", ((1,), (0, 0)), "block members 1, 00 incompatible"),
+        ]
 
     def test_partition_must_cover(self, cohen22):
         import finforce.models as m
