@@ -117,24 +117,22 @@ def history_of_entry(it: SimpleIteration, a: Subset, entry: Entry) -> History:
         return EMPTY_HISTORY
     if not isinstance(entry, DecisionTableName):
         raise TypeError(f"unexpected entry {entry!r}")
-    points: frozenset = frozenset()
-    w: tuple = ()
-    for q in entry.antichain:
-        h = history_of_condition(it, a, q)
-        points |= h.points
-        w = _merge_w(it.rank, w, h.w)
-    return History(points, w)
+    return _history_of_members(it, a, entry.antichain)
 
 
 def history_of_name(it: SimpleIteration, a: Subset, name: RealName) -> History:
     """Pointwise union of the member histories over all antichains."""
+    return _history_of_members(it, a, (q for antichain in name.antichains for q in antichain))
+
+
+def _history_of_members(it: SimpleIteration, a: Subset, members: Iterable[Condition]) -> History:
+    """The union of the histories of ``members``, in their order."""
     points: frozenset = frozenset()
     w: tuple = ()
-    for antichain in name.antichains:
-        for q in antichain:
-            h = history_of_condition(it, a, q)
-            points |= h.points
-            w = _merge_w(it.rank, w, h.w)
+    for q in members:
+        h = history_of_condition(it, a, q)
+        points |= h.points
+        w = _merge_w(it.rank, w, h.w)
     return History(points, w)
 
 
@@ -158,9 +156,6 @@ class TupleSpace:
         for _, wa in self.w:
             n *= 2 ** len(wa)
         return n
-
-    def components(self) -> frozenset:
-        return frozenset(self.s_points) | frozenset(self.c_points)
 
     def __str__(self):
         parts = []

@@ -429,32 +429,25 @@ class SimpleIteration:
         if asg.stem_decided and not _stem_decided(e):
             return False
         if asg.kind == "B":
-            return e.base <= a2 and self._b_entry_valid(x, e)
-        # R coordinate: the name must live over the support and its values
-        # must land in the interpreted subposet on every generic branch
-        return asg.support <= a2 and e.base <= asg.support and self._r_entry_valid(x, e)
-
-    def _b_entry_valid(self, x: Point, e: DecisionTableName) -> bool:
-        model = self.assignments[x].model
-        return all(v in model.poset.index for v in e.table) and all(
-            self.member_pstar(e.base, q) for q in e.antichain
-        )
+            return e.base <= a2 and self._table_entry_valid(x, e)
+        return asg.support <= a2 and e.base <= asg.support and self._table_entry_valid(x, e)
 
     @memoized
-    def _r_entry_valid(self, x: Point, e: DecisionTableName) -> bool:
+    def _table_entry_valid(self, x: Point, e: DecisionTableName) -> bool:
+        """The values of e are elements of the model at x and its antichain
+        lies in P* over its base.  At an R coordinate, each value e takes on
+        a generic of the support must also lie in the subposet that generic
+        names."""
         asg = self.assignments[x]
-        ok = all(v in asg.model.poset.index for v in e.table) and all(
-            self.member_pstar(e.base, q) for q in e.antichain
-        )
-        if ok:
+        if not (all(v in asg.model.poset.index for v in e.table)
+                and all(self.member_pstar(e.base, q) for q in e.antichain)):
+            return False
+        if asg.kind == "R":
             for zbar in self.enumerate_generics(asg.support):
                 v = self.interpret_entry(x, e, zbar)
-                if v is TRIV:
-                    continue
-                sub = self.interpret_subposet(x, zbar)
-                if v not in sub.elements:
+                if v is not TRIV and v not in self.interpret_subposet_spec(x, zbar).elements:
                     return False
-        return ok
+        return True
 
     # -- generic sequences and induced filters ------------------------------
 
@@ -575,10 +568,6 @@ class SimpleIteration:
         if not isinstance(spec, SubposetSpec):
             raise IterationError(f"subposet name at {x} produced {type(spec).__name__}")
         return spec
-
-    def interpret_subposet(self, x: Point, zbar: GenericSequence) -> FinitePoset:
-        spec = self.interpret_subposet_spec(x, zbar)
-        return self.assignments[x].model.poset.restrict(spec.elements)
 
     def interpret_c_poset(self, x: Point, zbar: GenericSequence) -> FinitePoset:
         asg = self.assignments[x]
@@ -727,13 +716,18 @@ class SimpleIteration:
     def check_density_pstar(self, a: Subset) -> tuple[bool, Condition | None]:
         """Every condition of the widened P|A must have a P*|A extension.
 
-        The widened order is read from the raw matrix: on widened entries it
-        can be a preorder only, which `FinitePoset` rejects."""
-        wide = self.members(a, widened=True)
-        index = {p: i for i, p in enumerate(wide)}
-        rows = [index[q] for q in self.members(a, widened=False)]
-        extended = self._order_matrix(a, wide)[rows].any(axis=0)
-        for p, ok in zip(wide, extended):
+        A member of P*|A extends itself, so only the widened conditions
+        outside it can fail.  The raw order over P*|A and those conditions
+        (the widened P|A, which can be a preorder only, so `FinitePoset`
+        would reject it) is read at its P* rows and their columns; the first
+        without an extension, in widened order, is the witness."""
+        star = self.members(a)
+        known = set(star)
+        extra = [p for p in self.members(a, widened=True) if p not in known]
+        if not extra:
+            return True, None
+        extended = self._order_matrix(a, star + extra)[:len(star), len(star):].any(axis=0)
+        for p, ok in zip(extra, extended):
             if not ok:
                 return False, p
         return True, None

@@ -57,12 +57,6 @@ class BorelPosetModel:
     def E(self, z: GenericValue, p) -> bool:
         return self.relation(z, p)
 
-    def eta(self, members: frozenset) -> GenericValue:
-        for f in self.admissible:
-            if f.members == members:
-                return f.value
-        raise KeyError("filter is not declared admissible")
-
     def filter_of(self, z: GenericValue) -> frozenset:
         """The E-induced filter {p : E(z, p)}."""
         return frozenset(p for p in self.poset.elements if self.E(z, p))

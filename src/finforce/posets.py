@@ -17,12 +17,13 @@ product.  The helper refuses inner dimensions of 2**24 or more.
 
 A poset caches what is derived from it alone: its compatibility matrix,
 the embedding report, sub-to-sup index array and reduction matrix of each
-sub poset checked against it (`check_complete_embedding_posets`, shared
-with `check_correct_system`, which builds no index array of its own), and
-the forcing answers of `names`.  This is sound
-because a poset never changes after construction (its order matrix is
-write-protected) and the caches are keyed by identity: sub posets by
-weak reference, so a cache entry never keeps a dropped poset alive.
+sub poset checked against it (`check_complete_embedding_posets`), and the
+forcing answers of `names`.  `check_correct_system` reads everything it
+needs from those per-pair entries and multiplies no matrices.  The caching
+is sound because a poset never changes after construction (its order
+matrix is write-protected) and the caches are keyed by identity: sub
+posets by weak reference, so a cache entry never keeps a dropped poset
+alive.
 
 `memoized` is the one memo layer of the package: it caches a function's
 answers on the object passed first, a poset here and a `SimpleIteration`
@@ -280,18 +281,6 @@ class EmbeddingReport:
         return self.ok
 
 
-def _reduction_matrix(
-    sub_order: np.ndarray, compat_in_sup: np.ndarray
-) -> np.ndarray:
-    """red[r, q]: every extension of r inside sub is compatible with q in sup.
-
-    ``sub_order[e, r]`` holds when e extends r; its columns may be a subset
-    of the sub poset's elements, which then restricts the rows of red.
-    ``compat_in_sup`` maps (sub element, sup element) pairs to
-    compatibility in the super poset."""
-    return ~_bool_product(sub_order.T, ~compat_in_sup)
-
-
 def check_complete_embedding_posets(sub: FinitePoset, sup: FinitePoset) -> EmbeddingReport:
     """sub must embed completely in sup (elements identified by equality).
 
@@ -340,7 +329,8 @@ def _check_embedding(
         failures.append(("incompatibility-lost", sub.elements[i], sub.elements[j]))
     if failures:
         return EmbeddingReport(False, failures), ids, None
-    red = _reduction_matrix(sub.leq_matrix, sup.compat_matrix[ids])
+    # red[r, q]: every extension e <= r inside sub is compatible with q in sup
+    red = ~_bool_product(sub.leq_matrix.T, ~sup.compat_matrix[ids])
     red.setflags(write=False)
     unreduced = np.flatnonzero(~red.any(axis=0))
     for q in unreduced[:8]:
@@ -362,9 +352,11 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     """Brute-force the correctness property: the four inclusions are complete
     embeddings, and each reduction within <P0, Q0> persists for <P1, Q1>.
 
-    The four embedding verdicts, the index maps P0 -> P1, P1 -> Q1 and
-    Q0 -> Q1, and the <P0, Q0> reduction matrix come from the per-pair
-    cache; only the <P1, Q1> reduction side is computed per system."""
+    Everything comes from the per-pair cache: the four embedding verdicts,
+    the index maps P0 -> P1 and Q0 -> Q1, and the reduction matrices of
+    P0 < Q0 and P1 < Q1, which exist once all four embeddings passed.  The
+    reductions within <P1, Q1> are the P1 < Q1 matrix gathered at the rows
+    of P0 and the columns of Q0, so a system costs one gather and one AND."""
     pair = {
         "P0<P1": _embedding(s.p0, s.p1),
         "P0<Q0": _embedding(s.p0, s.q0),
@@ -374,8 +366,7 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     failures = [(tag,) + f for tag, (rep, _, _) in pair.items() for f in rep.failures]
     if failures:
         return EmbeddingReport(False, failures)
-    compat1 = s.q1.compat_matrix[np.ix_(pair["P1<Q1"][1], pair["Q0<Q1"][1])]
-    red1 = _reduction_matrix(s.p1.leq_matrix[:, pair["P0<P1"][1]], compat1)
+    red1 = pair["P1<Q1"][2][np.ix_(pair["P0<P1"][1], pair["Q0<Q1"][1])]
     broken = np.argwhere(pair["P0<Q0"][2] & ~red1)
     for i, j in broken[:8]:
         failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))

@@ -45,10 +45,6 @@ class LinearOrder:
         r = self.rank
         return max(a, key=r.__getitem__)
 
-    def sorted(self, a: Iterable[Point]) -> tuple[Point, ...]:
-        r = self.rank
-        return tuple(sorted(a, key=r.__getitem__))
-
     def subset_key(self, a: Iterable[Point]) -> tuple:
         """Canonical sort key for subsets: by size, then rank-lexicographic."""
         r = self.rank

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from .iteration import (
@@ -64,6 +65,12 @@ def _expect(cond: bool, path: str, message: str):
         raise DocError(path, message)
 
 
+def _shaped(v: Any, kind: type, path: str) -> Any:
+    """v itself, once it is a JSON object (kind dict) or array (kind list)."""
+    _expect(isinstance(v, kind), path, f"must be a JSON {'object' if kind is dict else 'array'}")
+    return v
+
+
 def _natural(v: Any, least: int = 0) -> bool:
     """A JSON integer of at least `least`; JSON true and false are not."""
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
@@ -87,6 +94,31 @@ def _model_size(builtin: str, length: int, alphabet: int, cap: int) -> int:
     return stems << min(width // alphabet, bits)
 
 
+def _points(v: Any, path: str) -> frozenset:
+    _expect(isinstance(v, list) and all(isinstance(x, str) for x in v), path,
+            "must be a JSON array of point names")
+    return frozenset(v)
+
+
+def _parse_label(model: BorelPosetModel, label: Any, path: str) -> Any:
+    try:
+        return model.parse_label(label)
+    except Exception:
+        raise DocError(path, f"bad element label {label!r}") from None
+
+
+def _element(model: BorelPosetModel, label: Any, path: str) -> Any:
+    el = _parse_label(model, label, path)
+    _expect(el in model.poset.index, path, f"element {label!r} not in the model")
+    return el
+
+
+def _named(names: dict, ref: Any, path: str, what: str = "entry name") -> Any:
+    """names[ref], for a string ref that names holds."""
+    _expect(isinstance(ref, str) and ref in names, path, f"unknown {what} {ref!r}")
+    return names[ref]
+
+
 def _parse_model(label: str, spec: dict, cap: int) -> BorelPosetModel:
     """Build a built-in model, refusing one with more elements than cap
     before any construction: each element is a condition at every B
@@ -94,7 +126,7 @@ def _parse_model(label: str, spec: dict, cap: int) -> BorelPosetModel:
     path = f"models.{label}"
     _expect(isinstance(spec, dict), path, "model spec must be an object")
     builtin = spec.get("builtin")
-    _expect(builtin in _BUILTINS, path, f"unknown builtin {builtin!r}")
+    build = _named(_BUILTINS, builtin, path, "builtin")
     length = spec.get("length", 2)
     alphabet = spec.get("alphabet", 2)
     _expect(_natural(length, 1), path, "length must be a positive integer")
@@ -104,28 +136,22 @@ def _parse_model(label: str, spec: dict, cap: int) -> BorelPosetModel:
         raise ResourceCapExceeded(
             f"elements of model {label} = {builtin}({length},{alphabet})", size, cap
         )
-    return _BUILTINS[builtin](length, alphabet)
+    return build(length, alphabet)
 
 
 def _parse_entry_literal(lit: Any, point: str, point_models: dict,
                          entry_names: dict, path: str):
     if _natural(lit):
+        _expect(point not in point_models, path, f"ordinal entry {lit} at a model point")
         return lit
     if lit == "trivial":
         return TRIV
     if isinstance(lit, dict) and "const" in lit:
         model = point_models.get(point)
         _expect(model is not None, path, f"point {point} has no model for a constant")
-        try:
-            value = model.parse_label(lit["const"])
-        except Exception:
-            raise DocError(path, f"bad element label {lit['const']!r}") from None
-        _expect(value in model.poset.index, path, f"element {lit['const']!r} not in the model")
-        return const_name(value)
+        return const_name(_element(model, lit["const"], path))
     if isinstance(lit, dict) and "entry" in lit:
-        ref = lit["entry"]
-        _expect(ref in entry_names, path, f"unknown entry name {ref!r}")
-        return entry_names[ref]
+        return _named(entry_names, lit["entry"], path)
     raise DocError(path, f"cannot read entry literal {lit!r}")
 
 
@@ -144,7 +170,7 @@ def _parse_condition(lit: Any, rank: dict, point_models: dict,
 def _parse_table_name(label: str, spec: dict, rank, point_models, entry_names,
                       value_parser, path: str) -> DecisionTableName:
     _expect(isinstance(spec, dict), path, "table name must be an object")
-    base = frozenset(spec.get("base", []))
+    base = _points(spec.get("base", []), f"{path}.base")
     for x in base:
         _expect(x in rank, path, f"unknown base point {x!r}")
     rows = spec.get("table")
@@ -193,16 +219,13 @@ def _parse_subposet(value: Any, model: BorelPosetModel, path: str) -> SubposetSp
         )
     _expect(isinstance(value, dict) and "elements" in value, path,
             "subposet value must be 'full' or list its elements")
-    elements = []
-    for lbl in value["elements"]:
-        el = model.parse_label(lbl)
-        _expect(el in model.poset.index, path, f"element {lbl!r} not in the model")
-        elements.append(el)
+    labels = _shaped(value["elements"], list, f"{path}.elements")
+    elements = [_element(model, lbl, path) for lbl in labels]
     zs = value.get("z")
     if zs is None:
         z_space = model.generic_space
     else:
-        z_space = tuple(model.parse_label(z) for z in zs)
+        z_space = tuple(_parse_label(model, z, path) for z in _shaped(zs, list, f"{path}.z"))
         for z in z_space:
             _expect(z in model.generic_space, path, "restricted generic value not in Z")
     return SubposetSpec(elements=frozenset(elements), z_space=z_space)
@@ -213,7 +236,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
     JSON path) or json.JSONDecodeError (with line/column) on bad input."""
     raw = json.loads(text)
     _expect(isinstance(raw, dict), "$", "document must be a JSON object")
-    run = raw.get("run", {})
+    run = _shaped(raw.get("run", {}), dict, "run")
     max_conditions = run.get("max_conditions", 100_000)
     _expect(_natural(max_conditions), "run.max_conditions", "max_conditions must be a natural")
 
@@ -224,9 +247,12 @@ def parse_doc(text: str) -> WorkbenchDoc:
     _expect(all(isinstance(p, str) for p in points), "template.points", "points must be strings")
     order = LinearOrder(tuple(points))
     rank = order.rank
-    families_raw = tspec.get("families", {})
+    families_raw = _shaped(tspec.get("families", {}), dict, "template.families")
     _expect(set(families_raw) <= set(points), "template.families", "family for unknown point")
-    families = {p: [frozenset(b) for b in families_raw.get(p, [[]])] for p in points}
+    families = {}
+    for p in points:
+        path = f"template.families.{p}"
+        families[p] = [_points(b, path) for b in _shaped(families_raw.get(p, [[]]), list, path)]
     result = validate_template(order, families)
     template_violations: list[Violation] = []
     if isinstance(result, list):
@@ -237,7 +263,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
 
     models: dict[str, BorelPosetModel] = {}
     model_violations: dict[str, list] = {}
-    for label, spec in raw.get("models", {}).items():
+    for label, spec in _shaped(raw.get("models", {}), dict, "models").items():
         models[label] = _parse_model(label, spec, max_conditions)
         problems = validate_borel_model(models[label])
         if problems:
@@ -247,38 +273,29 @@ def parse_doc(text: str) -> WorkbenchDoc:
     point_models: dict[str, BorelPosetModel] = {}
     names: dict[str, RealName] = {}
     if template is not None:
-        ispec = raw.get("iteration", {})
+        ispec = _shaped(raw.get("iteration", {}), dict, "iteration")
         _expect(set(ispec) == set(points), "iteration",
                 f"iteration must assign every point exactly once, got {sorted(ispec)}")
         for x, cfg in ispec.items():
-            kind = cfg.get("kind")
+            kind = _shaped(cfg, dict, f"iteration.{x}").get("kind")
             _expect(kind in ("B", "R", "C"), f"iteration.{x}", f"bad kind {kind!r}")
             if kind in ("B", "R"):
-                mlabel = cfg.get("model")
-                _expect(mlabel in models, f"iteration.{x}", f"unknown model {mlabel!r}")
-                point_models[x] = models[mlabel]
+                point_models[x] = _named(models, cfg.get("model"), f"iteration.{x}", "model")
 
         entry_names: dict[str, DecisionTableName] = {}
-        for label, espec in raw.get("entries", {}).items():
-            point = espec.get("point")
-            _expect(point in point_models, f"entries.{label}",
+        for label, espec in _shaped(raw.get("entries", {}), dict, "entries").items():
+            point = _shaped(espec, dict, f"entries.{label}").get("point")
+            _expect(isinstance(point, str) and point in point_models, f"entries.{label}",
                     f"entry names need a B/R point, got {point!r}")
-            model = point_models[point]
-
-            def value_parser(v, path, _m=model):
-                el = _m.parse_label(v)
-                _expect(el in _m.poset.index, path, f"element {v!r} not in the model")
-                return el
-
             entry_names[label] = _parse_table_name(
                 label, espec, rank, point_models, entry_names,
-                value_parser, f"entries.{label}",
+                partial(_element, point_models[point]), f"entries.{label}",
             )
 
         widened_names: dict[str, DecisionTableName] = {}
-        for label, wspec in raw.get("widened_entries", {}).items():
-            point = wspec.get("point")
-            _expect(point in set(points), f"widened_entries.{label}", f"unknown point {point!r}")
+        for label, wspec in _shaped(raw.get("widened_entries", {}), dict, "widened_entries").items():
+            _named(rank, _shaped(wspec, dict, f"widened_entries.{label}").get("point"),
+                   f"widened_entries.{label}", "point")
 
             def ordinal_parser(v, path):
                 _expect(_natural(v), path, "widened values must be ordinals")
@@ -293,9 +310,11 @@ def parse_doc(text: str) -> WorkbenchDoc:
         for x, cfg in ispec.items():
             path = f"iteration.{x}"
             kind = cfg["kind"]
-            support = frozenset(cfg.get("support", []))
-            extra = tuple(entry_names[ref] for ref in cfg.get("entries", []))
-            widened = tuple(widened_names[ref] for ref in cfg.get("widened", []))
+            support = _points(cfg.get("support", []), f"{path}.support")
+            extra = tuple(_named(entry_names, ref, f"{path}.entries")
+                          for ref in _shaped(cfg.get("entries", []), list, f"{path}.entries"))
+            widened = tuple(_named(widened_names, ref, f"{path}.widened")
+                            for ref in _shaped(cfg.get("widened", []), list, f"{path}.widened"))
             include_constants = bool(cfg.get("constants", True))
             if kind == "B":
                 assignments[x] = IterandAssignment(
@@ -329,12 +348,16 @@ def parse_doc(text: str) -> WorkbenchDoc:
                     kind="R", model=model, support=support, qname=qname,
                     extra_entries=extra, include_constants=include_constants,
                 )
+            if kind != "B":
+                _expect(qname.base <= support, f"{path}.support",
+                        f"support must contain the base {sorted(qname.base)} of Q_{x}")
 
-        iteration = SimpleIteration(
-            template, assignments, max_conditions=max_conditions
-        )
+        try:
+            iteration = SimpleIteration(template, assignments, max_conditions=max_conditions)
+        except ValueError as exc:
+            raise DocError("iteration", str(exc)) from None
 
-        for label, rows in raw.get("names", {}).items():
+        for label, rows in _shaped(raw.get("names", {}), dict, "names").items():
             path = f"names.{label}"
             _expect(isinstance(rows, list) and rows, path, "a name is a list of coordinates")
             antichains = []
@@ -356,9 +379,11 @@ def parse_doc(text: str) -> WorkbenchDoc:
 
     from .verify import CHECKS
 
-    checks = run.get("checks", list(CHECKS))
+    checks = _shaped(run.get("checks", list(CHECKS)), list, "run.checks")
     for c in checks:
-        _expect(c in CHECKS, "run.checks", f"unknown check {c!r}")
+        _named(CHECKS, c, "run.checks", "check")
+    seed = run.get("seed", 0)
+    _expect(_natural(seed), "run.seed", "seed must be a natural")
     return WorkbenchDoc(
         raw=raw,
         iteration=iteration,
@@ -366,7 +391,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
         point_models=point_models,
         names=names,
         checks=checks,
-        seed=run.get("seed", 0),
+        seed=seed,
         template_violations=template_violations,
         model_violations=model_violations,
     )

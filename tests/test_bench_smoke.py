@@ -32,3 +32,20 @@ def test_workload_answers_correctly(workload):
     assert result["correct"] is True, out.stdout[-2000:]
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+@pytest.mark.skipif(not os.path.exists(RUN), reason="perfbench/ is absent")
+def test_traced_run_wraps_every_entry_point():
+    """A traced run wraps every entry point the benchmark's tracer names
+    before any work, so an entry point deleted or renamed fails here and
+    not only in the benchmark's own tests.  fsi4_full reaches the subset
+    lattice checks: 5^4 correct systems."""
+    out = subprocess.run(
+        [sys.executable, RUN, "--workload", "fsi4_full", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, out.stdout[-2000:]
+    assert result["failed"] == 0
+    assert result["metrics"]["posets.check_correct_system.calls"]["value"] == 5 ** 4

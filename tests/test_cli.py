@@ -113,6 +113,60 @@ class TestValidate:
         assert main(["validate", "--doc", bad]) == 2
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("name, keys, value, message", [
+        pytest.param("fsi2_cc.json", ("run",), [], "run: must be a JSON object", id="run"),
+        pytest.param("fsi2_cc.json", ("models",), [], "models: must be a JSON object", id="models"),
+        pytest.param("fsi2_cc.json", ("entries",), [], "entries: must be a JSON object",
+                     id="entries"),
+        pytest.param("fsi2_cc.json", ("widened_entries",), [],
+                     "widened_entries: must be a JSON object", id="widened-entries"),
+        pytest.param("fsi2_cc.json", ("names",), [], "names: must be a JSON object", id="names"),
+        pytest.param("fsi2_cc.json", ("template", "families"), [],
+                     "template.families: must be a JSON object", id="families"),
+        pytest.param("fsi2_cc.json", ("iteration", "0"), "B",
+                     "iteration.0: must be a JSON object", id="iteration-entry"),
+        pytest.param("fsi2_cc.json", ("entries",), {"x": "s"},
+                     "entries.x: must be a JSON object", id="entry-spec"),
+        pytest.param("fsi2_cc.json", ("template", "families", "1"), 5,
+                     "template.families.1: must be a JSON array", id="family"),
+        pytest.param("fsi2_cc.json", ("iteration", "0", "entries"), 5,
+                     "iteration.0.entries: must be a JSON array", id="entry-refs"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "support"), 5,
+                     "iteration.1.support: must be a JSON array of point names", id="support"),
+        pytest.param("fsi2_cc.json", ("run", "checks"), "density",
+                     "run.checks: must be a JSON array", id="checks"),
+        pytest.param("fsi2_cc.json", ("run", "seed"), "x", "run.seed: seed must be a natural",
+                     id="seed"),
+        pytest.param("fsi2_cc.json", ("iteration", "0", "model"), [],
+                     "iteration.0: unknown model []", id="model-ref"),
+        pytest.param("fsi2_cc.json", ("iteration", "0", "entries"), ["t9"],
+                     "iteration.0.entries: unknown entry name 't9'", id="unknown-entry-ref"),
+        pytest.param("fsi2_cc.json", ("models", "S", "builtin"), {},
+                     "models.S: unknown builtin {}", id="builtin"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "support"), [],
+                     "iteration.1.support: support must contain the base ['0'] of Q_1",
+                     id="support-without-base"),
+        pytest.param("fsi2_cohen_c.json", ("template", "families", "1", 1), [],
+                     "iteration: support ['0'] of 1 is not in the family I_1",
+                     id="support-outside-family"),
+        pytest.param("fsi2_cohen_c.json", ("names", "mixed", 0, 0, "when", "0"), 5,
+                     "names.mixed[0][0].0: ordinal entry 5 at a model point",
+                     id="ordinal-at-model-point"),
+        pytest.param("i1.json", ("entries", "t1", "table", 0, "value"), 5,
+                     "entries.t1.table[0]: bad element label 5", id="entry-value"),
+        pytest.param("i1.json", ("iteration", "c", "subposet", "table", 1, "value", "elements"),
+                     5, "iteration.c.subposet.table[1].elements: must be a JSON array",
+                     id="subposet-elements"),
+        pytest.param("i1.json", ("names", "n4", 2, 0, "when", "c", "entry"), [],
+                     "names.n4[2][0].c: unknown entry name []", id="entry-literal-ref"),
+    ])
+    def test_malformed_shapes(self, tmp_path, capsys, name, keys, value, message):
+        """A block, entry or reference of the wrong JSON shape is a parse
+        error at its path (exit 2), not a traceback."""
+        bad = edited_doc(tmp_path, name, keys, value)
+        assert main(["validate", "--doc", bad]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_name_reading_outside_its_base(self, tmp_path, capsys):
         """A table name is evaluated on its base alone, so a case that reads
         another point is a parse error."""

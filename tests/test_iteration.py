@@ -66,6 +66,27 @@ class TestMembership:
                     if small <= big:
                         assert it.member_pstar(big, p)
 
+    def test_r_entry_must_stay_in_the_subposet(self):
+        """An entry at the R coordinate c is a member only when the value it
+        takes on each generic of the support lies in the subposet that
+        generic names.  t7 takes "0|11" under a=1, where c's subposet keeps
+        the stems with empty function set only, so no condition carrying t7
+        is a member; t1 stays inside both subposets and is one."""
+        raw = fixtures._shipped("i1.json")
+        raw["entries"]["t7"] = {"point": "c", "base": ["a"], "table": [
+            {"when": {"a": {"const": "0"}}, "value": "|11"},
+            {"when": {"a": {"const": "1"}}, "value": "0|11"},
+        ]}
+        raw["iteration"]["c"]["entries"].append("t7")
+        i1 = fixtures.I1(raw)
+        it, full = i1.iteration, i1.template.all_points()
+        t7 = next(e for e in it.assignments["c"].extra_entries if e.label == "t7")
+        p = i1.cond({"c": t7})
+        assert not it.member_pstar(full, p)
+        members = it.members(full)
+        assert not any(e is t7 for q in members for _, e in q.entries)
+        assert i1.cond({"c": i1.c_tables[0]}) in members
+
     def test_member_counts(self, i1):
         it = i1.iteration
         assert len(it.members(frozenset())) == 1
@@ -298,6 +319,27 @@ class TestDensity:
         for a in all_subsets(it.template.points):
             ok, witness = it.check_density_pstar(a)
             assert ok, witness
+
+    def test_failure_witness(self):
+        """fsi2_cohen_c without constants at stage 0, and a widened entry w
+        at 1 worth 1 under const 0 and 2 under const 1.  No member of P*
+        decides the Cohen branch, and each ordinal fails below w on one
+        branch: 1 is above 2 in the chain of const 1, 2 is not below 1 in
+        the V of const 0, and 0 is the top.  So {1=w} has no extension over
+        {0, 1}; the other subsets add no widened condition."""
+        raw = fixtures._shipped("fsi2_cohen_c.json")
+        raw["iteration"]["0"]["constants"] = False
+        raw["widened_entries"] = {"w": {"point": "1", "base": ["0"], "table": [
+            {"when": {"0": {"const": "0"}}, "value": 1},
+            {"when": {"0": {"const": "1"}}, "value": 2},
+        ]}}
+        raw["iteration"]["1"]["widened"] = ["w"]
+        it = fixtures._parse(raw).iteration
+        w = it.assignments["1"].widened_entries[0]
+        witness = Condition((("1", w),))
+        for a in all_subsets(it.template.points):
+            expected = (False, witness) if a == {"0", "1"} else (True, None)
+            assert it.check_density_pstar(a) == expected
 
     def test_trivial_when_no_widened_entries(self, fsi2_cc):
         it, _ = fsi2_cc

@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finforce.models import cohen, ed
@@ -341,3 +341,40 @@ class TestSharedEmbeddings:
         del sub
         gc.collect()
         assert ref() is None and not len(sup._embeddings)
+
+
+@st.composite
+def system_strategy(draw):
+    """A random poset Q1 and its restrictions P1, Q0 and P0, a subset of
+    P1 & Q0, each holding the top 0.  P0 keeps an element of P1 & Q0 with
+    chance 1/4: a small P0 reduces more of Q0, so more reductions can fail
+    to persist."""
+    q1 = draw(random_poset_strategy())
+    flags = [(True, True, True)] + [
+        draw(st.tuples(st.booleans(), st.booleans(), st.integers(0, 3).map(lambda k: k == 0)))
+        for _ in q1.elements[1:]
+    ]
+    p1 = [e for e, (in_p1, _, _) in zip(q1.elements, flags) if in_p1]
+    q0 = [e for e, (_, in_q0, _) in zip(q1.elements, flags) if in_q0]
+    p0 = [e for e, (in_p1, in_q0, in_p0) in zip(q1.elements, flags) if in_p1 and in_q0 and in_p0]
+    return CorrectSystem(q1.restrict(p0), q1.restrict(p1), q1.restrict(q0), q1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system_strategy())
+@example(persistence_system())
+def test_persistence_matches_is_reduction(s):
+    """Once the four inclusions are complete embeddings, the persistence
+    failures are exactly the pairs (p, q) of P0 x Q0, in row-major order
+    and at most 8, where p reduces q within <P0, Q0> but not within
+    <P1, Q1>.  Random systems rarely fail, so `persistence_system`, which
+    does, is always among the examples."""
+    rep = check_correct_system(s)
+    pairs = ((s.p0, s.p1), (s.p0, s.q0), (s.p1, s.q1), (s.q0, s.q1))
+    assume(all(check_complete_embedding_posets(sub, sup).ok for sub, sup in pairs))
+    expected = [
+        ("reduction-not-persistent", p, q)
+        for p in s.p0.elements for q in s.q0.elements
+        if is_reduction(s.p0, s.q0, p, q) and not is_reduction(s.p1, s.q1, p, q)
+    ]
+    assert rep.failures == expected[:8]
