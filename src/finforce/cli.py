@@ -2,7 +2,7 @@
 and run the verification suite.
 
 Exit codes: 0 pass, 1 check or validation failure, 2 parse error,
-3 resource cap exceeded.
+3 resource cap exceeded or out of memory in a check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .history import history_of_condition, history_of_name, tuple_space
 from .iteration import IterationError, ResourceCapExceeded
 from .models import check_nice_subposet
 from .synth import synth_E, synth_F
-from .verify import run_checks
+from .verify import CHECKS, run_checks
 from .workdoc import DocError, load_doc, parse_doc
 
 EXIT_PASS = 0
@@ -78,6 +78,15 @@ def _validate(doc) -> list[str]:
                     continue
                 for p in problems:
                     diagnostics.append(f"subposet at {x} under {member}: {p}")
+        # a registered name is a name over the whole iteration, so its
+        # antichain members must be conditions of P* over every point;
+        # membership reads every table name, so this waits for them to pass
+        full = it.template.all_points()
+        for label, name in doc.names.items() if not diagnostics else ():
+            for i, antichain in enumerate(name.antichains):
+                for q in antichain:
+                    if not it.member_pstar(full, q):
+                        diagnostics.append(f"name {label}: antichain {i} member {q} is not in P*")
     return diagnostics
 
 
@@ -174,11 +183,16 @@ def cmd_verify(args) -> int:
     if args.max_conditions:
         it.max_conditions = args.max_conditions
     seed = args.seed if args.seed else doc.seed
-    try:
-        reports = run_checks(it, doc.names, doc.checks, seed=seed)
-    except ResourceCapExceeded as exc:
-        print(f"resource cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    reports = []
+    for check in doc.checks or CHECKS:
+        try:
+            reports += run_checks(it, doc.names, [check], seed=seed)
+        except ResourceCapExceeded as exc:
+            print(f"resource cap exceeded: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except MemoryError:
+            print(f"out of memory in check {check}", file=sys.stderr)
+            return EXIT_CAP
     text = _report_text(reports) if args.format == "text" else _report_structured(reports)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

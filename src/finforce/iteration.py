@@ -17,7 +17,8 @@ oracle against which the synthesized membership codes are verified.
 Because the rule is compositional, `SimpleIteration.filter_table` decides
 each distinct (point, entry) once per generic and joins a condition's
 entries with AND; the order matrix and `realize_filter` read their filter
-membership from such tables.
+membership from such tables.  The order matrix is joined on packed rows
+(`posets.pack_rows`): per stage, one AND of a packed mask per column.
 
 Each recursion step is memoized per iteration with `posets.memoized`, in
 the iteration's one ``_memo``; `synth` and `history` keep their memos
@@ -40,11 +41,13 @@ from .models import BorelPosetModel
 from .posets import (
     EmbeddingReport,
     FinitePoset,
-    _bool_product,
+    _reduce_segments,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     filter_defect,
     memoized,
+    pack_rows,
+    unpack_rows,
 )
 from .templates import IndexedTemplate, Point, Subset, trace_family
 
@@ -509,21 +512,17 @@ class SimpleIteration:
 
         Filter membership is the AND of its entries' memberships, so each
         distinct (point, entry) of ``conds`` is decided once per generic, by
-        `member_of_filter` on the one-entry condition, and one boolean
-        product joins the entries of each condition."""
+        `member_of_filter` on the one-entry condition, and a condition's
+        row is the OR of its entries' packed rows of misses."""
         items: dict[tuple[Point, Entry], int] = {}
-        rows, cols = [], []
-        for i, p in enumerate(conds):
-            for item in p.entries:
-                rows.append(i)
-                cols.append(items.setdefault(item, len(items)))
-        carries = np.zeros((len(conds), len(items)), dtype=bool)
-        carries[rows, cols] = True
+        index = [items.setdefault(item, len(items)) for p in conds for item in p.entries]
         misses = np.array(
             [[not self.member_of_filter(z, Condition((item,))) for z in gens] for item in items],
             dtype=bool,
         ).reshape(len(items), len(gens))
-        return ~_bool_product(carries, misses)
+        missed = _reduce_segments(np.bitwise_or, pack_rows(misses), np.array(index, dtype=np.intp),
+                                  np.array([len(p.entries) for p in conds], dtype=np.intp))
+        return ~unpack_rows(missed, len(gens))
 
     @memoized
     def induced_filters(self, a: Subset) -> tuple[dict[GenericSequence, int], np.ndarray]:
@@ -665,10 +664,16 @@ class SimpleIteration:
 
         Unrolled, the recursion of `_order_leq` reads: q <= p iff dom p is
         contained in dom q and, at every x in dom p, every generic of
-        A & L_x whose filter contains q|<x interprets q(x) below p(x).  Per
-        x this takes filter membership of the distinct restrictions q|<x and
-        the stage order of the entries that occur, both per generic; one
-        boolean product joins them.
+        A & L_x whose filter contains q|<x interprets q(x) below p(x).
+
+        The matrix is built by columns, as packed rows: column j starts as
+        the members whose domain contains dom p_j, one AND of the per-point
+        masks of domain holders per distinct domain.  Per x, a stage table
+        gives, for each distinct (q|<x, q(x)) and each entry e, whether some
+        generic whose filter contains q|<x puts q(x) outside the stage
+        order below e; it depends on the column only through its entry, so
+        the columns that carry e at x AND in one packed mask of the rows
+        not bad against e.
 
         An entry is interpreted only on generics whose filter contains the
         restriction of a member carrying it, which are the cells the
@@ -677,12 +682,20 @@ class SimpleIteration:
         order q|<x <= p|<x fails there already.
         """
         rank = self.rank
-        dom = np.zeros((len(elems), len(rank)), dtype=bool)
-        for i, p in enumerate(elems):
-            dom[i, [rank[y] for y, _ in p.entries]] = True
-        leq = ~_bool_product(~dom, dom.T)
+        n = len(elems)
+        domains: dict[tuple[int, ...], int] = {}
+        domain_of = [domains.setdefault(tuple(rank[y] for y, _ in p.entries), len(domains)) for p in elems]
+        # table[d, y]: the d-th distinct domain holds point y
+        table = np.zeros((len(domains), len(rank)), dtype=bool)
+        for d, ranks in enumerate(domains):
+            table[d, list(ranks)] = True
+        holds = np.ascontiguousarray(table[domain_of].T)
+        # column j: the AND of the rows of holders of each point of dom p_j
+        everyone = pack_rows(np.ones((1, n), dtype=bool))
+        held = np.where(table[:, :, None], pack_rows(holds)[None], everyone)
+        cols = np.bitwise_and.reduce(held, axis=1)[domain_of]
         for x in self.points_of(a):
-            has = np.flatnonzero(dom[:, rank[x]])
+            has = np.flatnonzero(holds[rank[x]])
             if not len(has):
                 continue
             below = self.past_in(a, x)
@@ -706,9 +719,19 @@ class SimpleIteration:
                 for e in live:
                     for e2 in live:
                         bad[g, e, e2] = not self._stage_leq(x, below, z, palette[e], palette[e2])
-            stage_bad = _bool_product(filt, bad.reshape(len(gens), m * m))
-            r_idx, e_idx = np.array(r_idx), np.array(e_idx)
-            leq[np.ix_(has, has)] &= ~stage_bad[r_idx[:, None], e_idx[:, None] * m + e_idx]
+            # stage_bad[r, e, e2]: a generic in the filter of r has e outside e2
+            in_filter = np.flatnonzero(filt) % len(gens)
+            stage_bad = unpack_rows(
+                _reduce_segments(np.bitwise_or, pack_rows(bad.reshape(len(gens), m * m)), in_filter,
+                                 filt.sum(axis=1)),
+                m * m,
+            ).reshape(len(restrictions), m, m)
+            fine = np.ones((m, n), dtype=bool)
+            fine[:, has] = ~stage_bad[r_idx, e_idx].T
+            cols[has] &= pack_rows(fine)[e_idx]
+        leq = np.empty((n, n), dtype=bool)
+        for lo in range(0, n, 64):
+            leq[:, lo:lo + 64] = unpack_rows(cols[lo:lo + 64], n).T
         return leq
 
     # -- structural checks ----------------------------------------------------

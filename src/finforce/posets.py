@@ -8,22 +8,38 @@ oracle (`admissible_filters_upsets`) sound.  `filter_defect` is the one
 audit of a subset as a generic filter: declared model filters, the
 E-filters of nice subposets and induced filters all go through it.
 
-Every boolean matrix product goes through `_bool_product`, one float32
-BLAS product.  Its entries count witnesses: integers no larger than the
-inner dimension.  float32 represents every integer below 2**24 exactly,
-and a partial sum of such counts stays an integer below that bound, so
-every sum is exact in any summation order and ``> 0`` is the boolean
-product.  The helper refuses inner dimensions of 2**24 or more.
+Order kernels run on packed rows.  `pack_rows` stores each row of a
+boolean matrix as uint64 words, 64 cells to a word with zero padding, so
+a row of an n-element poset takes 8 * ceil(n / 64) bytes, about n / 8.  A
+poset packs its up-sets (rows) and down-sets (columns) once, when it is
+validated, and every kernel is an OR or AND of packed rows selected by
+the bits of another packed row (`_reduce_rows`), in blocks of at most
+32 MiB of gathered words.  A kernel touches n / 8 bytes per selected row:
+- transitivity: row i must contain the up-sets of its members, nnz * n / 8
+  bytes for the nnz cells of the order;
+- compatibility: row i is the OR of the up-sets of the minimal elements
+  below i (the up-set of anything else below i is contained in one of
+  theirs), so n / 8 bytes per (minimal, element) pair of the order;
+- reductions of sub in sup: row r is the AND of the compatibility rows in
+  sup of the minimal elements of sub below r (compatibility grows with
+  the element), n_sup / 8 bytes per such pair;
+- a correct system: the rows of P0 of two reduction matrices and one
+  mask, 3 * |P0| * |Q1| / 8 bytes.
+Dense boolean matrices are unpacked only where callers read cells:
+`leq_matrix` on first use (then kept), `compat_matrix` on every read.  The
+embedding check reads the cells it compares from the packed rows a block
+at a time, so at k = 7 no poset of the subset lattice keeps a dense
+matrix.
 
-A poset caches what is derived from it alone: its compatibility matrix,
-the embedding report, sub-to-sup index array and reduction matrix of each
-sub poset checked against it (`check_complete_embedding_posets`), and the
-forcing answers of `names`.  `check_correct_system` reads everything it
-needs from those per-pair entries and multiplies no matrices.  The caching
-is sound because a poset never changes after construction (its order
-matrix is write-protected) and the caches are keyed by identity: sub
-posets by weak reference, so a cache entry never keeps a dropped poset
-alive.
+A poset caches what is derived from it alone: its packed compatibility
+rows, the embedding report, sub-to-sup index array and packed reduction
+matrix of each sub poset checked against it
+(`check_complete_embedding_posets`), and the forcing answers of `names`.
+`check_correct_system` reads everything it needs from those per-pair
+entries and multiplies no matrices.  The caching is sound because a poset
+never changes after construction (its packed rows are write-protected)
+and the caches are keyed by identity: sub posets by weak reference, so a
+cache entry never keeps a dropped poset alive.
 
 `memoized` is the one memo layer of the package: it caches a function's
 answers on the object passed first, a poset here and a `SimpleIteration`
@@ -35,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
@@ -44,7 +61,6 @@ import numpy as np
 
 Element = Hashable
 
-_FLOAT32_EXACT = 1 << 24
 _MISS = object()
 
 
@@ -80,13 +96,93 @@ def memoized(fn):
     return cached
 
 
-def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] iff a[i, k] and b[k, j] for some k, for 0/1 matrices."""
-    if a.shape[1] >= _FLOAT32_EXACT:
-        raise ValueError(
-            f"inner dimension {a.shape[1]} is not below 2**24, where float32 counts stay exact"
-        )
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+def pack_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix as uint64 words, 64 cells to a word and
+    the padding bits zero."""
+    rows, n = m.shape
+    out = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(m, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def pack_cols(m: np.ndarray) -> np.ndarray:
+    """The columns of a boolean matrix as packed rows: `pack_rows` of its
+    transpose, made 64 rows at a time so the transpose stays in cache."""
+    rows, n = m.shape
+    out = np.zeros((n, -(-rows // 64) * 8), dtype=np.uint8)
+    for w, lo in enumerate(range(0, rows, 64)):
+        block = np.ascontiguousarray(m[lo:lo + 64].T)
+        out[:, 8 * w:8 * w + -(-block.shape[1] // 8)] = np.packbits(block, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _bit(words: np.ndarray, i: int, j: int) -> bool:
+    """Cell (i, j) of packed rows."""
+    return bool(words.view(np.uint8)[i, j >> 3] >> (j & 7) & 1)
+
+
+def _cells(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The boolean matrix of packed rows at the columns ``cols``, read
+    byte by byte without unpacking the other columns."""
+    cols = np.asarray(cols)
+    picked = np.ascontiguousarray(words).view(np.uint8)[:, cols >> 3] >> (cols & 7).astype(np.uint8)
+    return (picked & 1).view(bool)
+
+
+def unpack_rows(words: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The boolean rows of packed words, ``n`` cells each (all bits if None)."""
+    return np.unpackbits(
+        np.ascontiguousarray(words).view(np.uint8), axis=1, count=n, bitorder="little"
+    ).view(bool)
+
+
+_BLOCK_WORDS = 1 << 22  # words gathered per block of `_reduce_rows`: 32 MiB
+_IDENTITY = {np.bitwise_or: np.uint64(0), np.bitwise_and: np.uint64(0xFFFF_FFFF_FFFF_FFFF)}
+
+
+def _reduce_segments(op, table: np.ndarray, index: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """out[s] is ``op`` (``np.bitwise_or`` or ``np.bitwise_and``) over the
+    rows of ``table`` at the s-th segment of ``index``, the segments lying
+    end to end with ``counts[s]`` entries each.  An empty segment gives the
+    identity: all zeros for OR, all ones (padding included) for AND."""
+    ends = np.cumsum(counts)
+    if len(index) and counts.all():
+        return op.reduceat(np.take(table, index, axis=0), ends - counts, axis=0)
+    out = np.full((len(counts), table.shape[1]), _IDENTITY[op], np.uint64)
+    if len(index):
+        live = counts > 0
+        out[live] = op.reduceat(np.take(table, index, axis=0), (ends - counts)[live], axis=0)
+    return out
+
+
+def _reduce_rows(op, table: np.ndarray, mask: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """out[i] is ``op`` over the rows ``table[rows[j]]`` (``table[j]``
+    without ``rows``) for the set bits j of the packed row ``mask[i]``, as
+    in `_reduce_segments`.  The gathered rows are taken in blocks of at
+    most `_BLOCK_WORDS` words."""
+    if mask.shape[1] == table.shape[1] == 1:
+        # rows of one word (64 elements or fewer): select them densely; on
+        # posets this small numpy's per-call cost, not the data, dominates,
+        # and this takes three calls where the index lists take a dozen
+        chosen = table[:, 0] if rows is None else table[rows, 0]
+        picked = np.where(unpack_rows(mask, len(chosen)), chosen, _IDENTITY[op])
+        return op.reduce(picked, axis=1, keepdims=True)
+    counts = np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
+    step = max(_BLOCK_WORDS // max(table.shape[1], 1), 1)
+    if counts.sum() <= step:
+        cuts = [0, len(mask)]
+    else:
+        ends = np.cumsum(counts)
+        cuts = [0]
+        while cuts[-1] < len(mask):
+            lo = cuts[-1]
+            cuts.append(max(int(np.searchsorted(ends, ends[lo] - counts[lo] + step, "right")), lo + 1))
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        bits = unpack_rows(mask[lo:hi])
+        index = np.flatnonzero(bits) % bits.shape[1]
+        out.append(_reduce_segments(op, table, index if rows is None else rows[index], counts[lo:hi]))
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 class FinitePoset:
@@ -103,21 +199,25 @@ class FinitePoset:
         n = len(elements)
         if leq.shape != (n, n):
             raise ValueError(f"order matrix shape {leq.shape} does not match {n} elements")
-        if not leq[np.diag_indices(n)].all():
+        if not leq.diagonal().all():
             raise ValueError("order is not reflexive")
-        if (_bool_product(leq, leq) & ~leq).any():
+        up, down = pack_rows(leq), pack_cols(leq)
+        # every up-set contains the up-sets of its members (the OR of them
+        # holds its own, the relation being reflexive)
+        if (_reduce_rows(np.bitwise_or, up, up) != up).any():
             raise ValueError("order is not transitive")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        # the only element both above and below i is i itself: n cells
+        if np.bitwise_count(up & down).sum() != n:
             raise ValueError("order is not antisymmetric")
         ti = elements.index(top)
         if not leq[:, ti].all():
             raise ValueError("top is not the maximum")
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-        self.leq_matrix = leq
-        self.leq_matrix.setflags(write=False)
         self.top = top
-        self._compat: np.ndarray | None = None
+        self._up, self._down = up, down
+        up.setflags(write=False)
+        down.setflags(write=False)
         self._embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._memo: defaultdict = defaultdict(dict)  # see `memoized`
 
@@ -131,12 +231,13 @@ class FinitePoset:
         leq = np.eye(n, dtype=bool)
         for a, b in pairs:
             leq[idx[a], idx[b]] = True
+        up = pack_rows(leq)
         for _ in range(n):
-            new = leq | _bool_product(leq, leq)
-            if (new == leq).all():
+            new = _reduce_rows(np.bitwise_or, up, up)
+            if (new == up).all():
                 break
-            leq = new
-        return cls(elements, leq, top)
+            up = new
+        return cls(elements, unpack_rows(up, n), top)
 
     def __len__(self):
         return len(self.elements)
@@ -147,18 +248,39 @@ class FinitePoset:
     def leq(self, a: Element, b: Element) -> bool:
         return bool(self.leq_matrix[self.index[a], self.index[b]])
 
+    @functools.cached_property
+    def leq_matrix(self) -> np.ndarray:
+        """leq[i, j] iff elements[i] <= elements[j], unpacked on first use."""
+        leq = unpack_rows(self._up, len(self))
+        leq.setflags(write=False)
+        return leq
+
     @property
     def compat_matrix(self) -> np.ndarray:
-        """compat[i, j] iff some r lies below both i and j."""
-        if self._compat is None:
-            d = self.leq_matrix
-            self._compat = _bool_product(d.T, d)
-            self._compat.setflags(write=False)
-        return self._compat
+        """compat[i, j] iff some r lies below both i and j, unpacked from the
+        packed rows on every read (a poset keeps only those)."""
+        return unpack_rows(self._compat_words, len(self))
+
+    @functools.cached_property
+    def _compat_words(self) -> np.ndarray:
+        """`compat_matrix` as packed rows: row i is the OR of the up-sets of
+        the minimal elements below i."""
+        words = _reduce_rows(np.bitwise_or, self._up, self._minimal_below)
+        words.setflags(write=False)
+        return words
+
+    @functools.cached_property
+    def _minimal(self) -> np.ndarray:
+        """The mask of the minimal elements: those with a one-element down-set."""
+        return np.bitwise_count(self._down).sum(axis=1) == 1
+
+    @functools.cached_property
+    def _minimal_below(self) -> np.ndarray:
+        """Packed rows: row i holds the minimal elements below i."""
+        return self._down & pack_rows(self._minimal[None, :])
 
     def minimal_elements(self) -> list[Element]:
-        below = self.leq_matrix.sum(axis=0)
-        return [e for e, n in zip(self.elements, below) if n == 1]
+        return list(itertools.compress(self.elements, self._minimal))
 
     def upset(self, e: Element) -> frozenset:
         i = self.index[e]
@@ -178,7 +300,7 @@ class FinitePoset:
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
     """True iff a and b have a common lower bound."""
-    return bool(p.compat_matrix[p.index[a], p.index[b]])
+    return _bit(p._compat_words, p.index[a], p.index[b])
 
 
 def common_lower_bound_exists(p: FinitePoset, items: Iterable[Element]) -> bool:
@@ -246,14 +368,14 @@ def filter_defect(p: FinitePoset, inside: np.ndarray) -> FilterDefect | None:
     members = np.flatnonzero(inside)
     if not len(members):
         return FilterDefect("empty")
-    leq = p.leq_matrix
-    least = members[leq[np.ix_(members, members)].all(axis=1)]
+    mask = pack_rows(np.asarray(inside, dtype=bool)[None, :])
+    least = members[((p._up[members] & mask) == mask).all(axis=1)]
     if len(least) != 1:
         return FilterDefect("no-least")
     b = least[0]
-    if (leq[b] != inside).any():
+    if (p._up[b] != mask).any():
         return FilterDefect("not-upward-closed")
-    if leq[:, b].sum() != 1:
+    if np.bitwise_count(p._down[b]).sum() != 1:
         return FilterDefect("not-minimal", p.elements[b])
     return None
 
@@ -297,42 +419,62 @@ def _embedding(
 ) -> tuple[EmbeddingReport, np.ndarray | None, np.ndarray | None]:
     """The report of sub into sup; once every element of sub is in sup, the
     index in sup of each element of sub; and, once both posets agree on
-    order and compatibility, the reduction matrix over (sub element, sup
-    element)."""
+    order and compatibility, the reduction matrix: row r holds, packed over
+    the elements of sup, the q that r reduces."""
     hit = sup._embeddings.get(sub)
     if hit is None:
         hit = sup._embeddings[sub] = _check_embedding(sub, sup)
     return hit
 
 
+def _first_cells(rows: int, step: int, block) -> list[tuple[int, int]]:
+    """The first 8 true cells, in row-major order, of the boolean matrix
+    whose rows lo:hi are ``block(lo, hi)``, read ``step`` rows at a time."""
+    cells: list[tuple[int, int]] = []
+    for lo in range(0, rows, step):
+        found = block(lo, lo + step)
+        if found.any():
+            cells += [(lo + i, j) for i, j in np.argwhere(found)[:8 - len(cells)]]
+            if len(cells) == 8:
+                break
+    return cells
+
+
 def _check_embedding(
     sub: FinitePoset, sup: FinitePoset
 ) -> tuple[EmbeddingReport, np.ndarray | None, np.ndarray | None]:
-    failures: list[tuple] = []
-    for a in sub.elements:
-        if a not in sup:
-            failures.append(("missing-element", a))
+    index = sup.index
+    failures: list[tuple] = [("missing-element", a) for a in sub.elements if a not in index]
     if failures:
         return EmbeddingReport(False, failures), None, None
-    ids = np.array([sup.index[e] for e in sub.elements])
+    ids = np.array([index[e] for e in sub.elements])
     ids.setflags(write=False)
-    sup_leq = sup.leq_matrix[np.ix_(ids, ids)]
-    mism = np.argwhere(sub.leq_matrix != sup_leq)
-    for i, j in mism[:8]:
-        failures.append(
-            ("order-mismatch", sub.elements[i], sub.elements[j],
-             bool(sub.leq_matrix[i, j]), bool(sup_leq[i, j]))
-        )
-    sup_compat = sup.compat_matrix[np.ix_(ids, ids)]
-    lost = np.argwhere(~sub.compat_matrix & sup_compat)
-    for i, j in lost[:8]:
+    # both checks read sup's rows at ids and the columns of ids, a block of
+    # rows (at most 32 MiB of cells) at a time
+    n = len(sub)
+    step = max(_BLOCK_WORDS * 8 // n, 1)
+
+    def order_differs(lo, hi):
+        return unpack_rows(sub._up[lo:hi], n) != _cells(sup._up[ids[lo:hi]], ids)
+
+    for i, j in _first_cells(n, step, order_differs):
+        below = _bit(sub._up, i, j)
+        failures.append(("order-mismatch", sub.elements[i], sub.elements[j], below, not below))
+    sub_compat = sub.compat_matrix
+
+    def compat_lost(lo, hi):
+        return ~sub_compat[lo:hi] & _cells(sup._compat_words[ids[lo:hi]], ids)
+
+    for i, j in _first_cells(n, step, compat_lost):
         failures.append(("incompatibility-lost", sub.elements[i], sub.elements[j]))
     if failures:
         return EmbeddingReport(False, failures), ids, None
-    # red[r, q]: every extension e <= r inside sub is compatible with q in sup
-    red = ~_bool_product(sub.leq_matrix.T, ~sup.compat_matrix[ids])
+    # red[r]: the q of sup compatible in sup with every extension e <= r
+    # inside sub, packed; the minimal e below r suffice
+    red = _reduce_rows(np.bitwise_and, sup._compat_words, sub._minimal_below, ids)
     red.setflags(write=False)
-    unreduced = np.flatnonzero(~red.any(axis=0))
+    reduced = unpack_rows(np.bitwise_or.reduce(red, axis=0, keepdims=True), len(sup))[0]
+    unreduced = np.flatnonzero(~reduced)
     for q in unreduced[:8]:
         failures.append(("no-reduction", sup.elements[q]))
     return EmbeddingReport(not failures, failures), ids, red
@@ -354,9 +496,13 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
 
     Everything comes from the per-pair cache: the four embedding verdicts,
     the index maps P0 -> P1 and Q0 -> Q1, and the reduction matrices of
-    P0 < Q0 and P1 < Q1, which exist once all four embeddings passed.  The
-    reductions within <P1, Q1> are the P1 < Q1 matrix gathered at the rows
-    of P0 and the columns of Q0, so a system costs one gather and one AND."""
+    P0 < Q1 and P1 < Q1, packed over Q1.  Once Q0 < Q1 is complete, two
+    elements of Q0 are compatible in Q0 exactly when they are in Q1, so
+    the reductions within <P0, Q0> are the P0 < Q1 ones at the columns of
+    Q0.  The P0 < Q1 embedding is complete too, being a composite of two
+    complete ones, so its entry holds a reduction matrix.  A system costs
+    one gather of packed rows and two ANDs; the witnesses are read in
+    P0 x Q0 order only when one exists."""
     pair = {
         "P0<P1": _embedding(s.p0, s.p1),
         "P0<Q0": _embedding(s.p0, s.q0),
@@ -366,8 +512,11 @@ def check_correct_system(s: CorrectSystem) -> EmbeddingReport:
     failures = [(tag,) + f for tag, (rep, _, _) in pair.items() for f in rep.failures]
     if failures:
         return EmbeddingReport(False, failures)
-    red1 = pair["P1<Q1"][2][np.ix_(pair["P0<P1"][1], pair["Q0<Q1"][1])]
-    broken = np.argwhere(pair["P0<Q0"][2] & ~red1)
-    for i, j in broken[:8]:
-        failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))
+    q0_ids = pair["Q0<Q1"][1]
+    in_q0 = np.zeros((1, len(s.q1)), dtype=bool)
+    in_q0[0, q0_ids] = True
+    broken = _embedding(s.p0, s.q1)[2] & pack_rows(in_q0) & ~pair["P1<Q1"][2][pair["P0<P1"][1]]
+    if broken.any():
+        for i, j in np.argwhere(_cells(broken, q0_ids))[:8]:
+            failures.append(("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]))
     return EmbeddingReport(not failures, failures)

@@ -31,6 +31,7 @@ from .history import (
 from .iteration import (
     Condition,
     GenericSequence,
+    IterationError,
     SimpleIteration,
     realize_filter,
 )
@@ -136,7 +137,10 @@ def verify_main_theorem(
 ) -> Report:
     """Membership codes must decide induced-filter membership, and name
     evaluation functions must reproduce direct antichain evaluation, for
-    every condition and every admissible generic sequence.
+    every condition and every admissible generic sequence.  A generic whose
+    induced filter fails its audit in `realize_filter` (for a template
+    that validates but induces a filter that is not directed, say) is an
+    "internal-error" failure with that generic as witness.
 
     Beyond ``max_generics`` sequences the sweep runs on a seeded sample and
     the report is labeled sampled."""
@@ -179,7 +183,12 @@ def verify_main_theorem(
     position = {p: i for i, p in enumerate(poset.elements)}
 
     for j, zbar in enumerate(gens):
-        g = realize_filter(it, zbar)
+        try:
+            g = realize_filter(it, zbar)
+        except IterationError as exc:
+            # no filter to compare against: the generic is the witness
+            rep.failures.append(Failure("internal-error", "", "", str(zbar), "", str(exc)))
+            continue
         rep.checked += len(poset.elements)
         for p in sorted((g ^ holds[j]) | raises[j], key=position.__getitem__):
             direct = p in g

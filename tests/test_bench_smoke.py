@@ -49,3 +49,29 @@ def test_traced_run_wraps_every_entry_point():
     assert result["correct"] is True, out.stdout[-2000:]
     assert result["failed"] == 0
     assert result["metrics"]["posets.check_correct_system.calls"]["value"] == 5 ** 4
+
+
+LADDER = os.path.join(ROOT, "scripts", "ladder.py")
+
+
+@pytest.mark.skipif(not os.path.exists(RUN), reason="perfbench/ is absent")
+def test_ladder_records_each_rung(tmp_path):
+    """The ladder helper verifies each rung in its own child and stores
+    the verdicts, work counts and check times of each report under its
+    label, beside what the file already holds."""
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"parent": {"rungs": {}}}))
+    run = subprocess.run(
+        [sys.executable, LADDER, "--out", str(out), "--label", "change", "--max-k", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    data = json.loads(out.read_text())
+    assert data["parent"] == {"rungs": {}}
+    rungs = data["change"]["rungs"]
+    assert set(rungs) == {"i1", "fsi2_cc", "fsi2_cohen_c", "fsi_k2"}
+    for rung in rungs.values():
+        assert rung["exit"] == 0 and rung["peak_rss_mb"] > 0
+        assert all(c["passed"] and c["seconds"] >= 0 for c in rung["checks"].values())
+    checked = {name: c["checked"] for name, c in rungs["fsi_k2"]["checks"].items()}
+    assert (checked["main_theorem"], checked["embeddings"], checked["nice_and_correct"]) == (8**2, 3**2, 5**2)

@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 import finforce
+from finforce import verify
 from finforce.cli import main
 from finforce.workdoc import load_doc, parse_doc
 
@@ -247,6 +248,18 @@ class TestSynth:
         code = parse_code(line, doc.point_models)
         assert line == str(code)
 
+    def test_name_member_outside_pstar(self, tmp_path, capsys):
+        """A registered name whose antichain holds a condition outside P*
+        (a C entry of 5 where gamma is 3) fails validation, and so verify
+        stops before any check, with the same diagnostic."""
+        bad = edited_doc(tmp_path, "fsi2_cohen_c.json", ("names", "mixed", 0, 0, "when", "1"), 5)
+        for command in ("validate", "verify"):
+            assert main([command, "--doc", bad]) == 1
+            assert capsys.readouterr().out == (
+                "name mixed: antichain 0 member {0=const:0, 1=5} is not in P*\n"
+            )
+
+
 
 class TestVerify:
     def test_small_doc_passes(self, capsys, tmp_path):
@@ -289,6 +302,43 @@ class TestVerify:
             "verify", "--doc", i1_doc, "--max-conditions", "5",
         ])
         assert code == 3
+
+    def test_filter_not_directed_is_a_report_failure(self, tmp_path):
+        """fsi2_cc with I_1 cut to the empty set validates, but the filters
+        its generics induce on P* have no least element.  main_theorem
+        records each such generic as an internal-error failure, and the
+        run ends with exit 1 and a report, not a traceback."""
+        bad = edited_doc(tmp_path, "fsi2_cc.json", ("template", "families", "1"), [[]])
+        assert main(["validate", "--doc", bad]) == 0
+        report = tmp_path / "report.json"
+        assert main(["verify", "--doc", bad, "--report", str(report)]) == 1
+        main_theorem = json.loads(report.read_text())[0]
+        assert main_theorem["check"] == "main_theorem" and main_theorem["generics"] == 16
+        failures = main_theorem["failures"]
+        assert len(failures) == 16 and {f["kind"] for f in failures} == {"internal-error"}
+        assert failures[0]["zbar"] == "0=00; 1=00"
+        assert failures[0]["actual"] == "induced filter of [0=00; 1=00] is not directed: no unique bottom"
+
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys):
+        """A MemoryError inside a check ends the run with exit 3 and names
+        the check; the checks before it ran."""
+        ran = []
+
+        def density(it, names=None, seed=0):
+            raise MemoryError
+
+        def record(name):
+            def check(it, names=None, seed=0):
+                ran.append(name)
+                return verify.Report(check=name)
+            return check
+
+        monkeypatch.setitem(verify.CHECKS, "main_theorem", record("main_theorem"))
+        monkeypatch.setitem(verify.CHECKS, "density", density)
+        assert main(["verify", "--doc", doc_path("fsi2_cc.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "out of memory in check density\n"
+        assert ran == ["main_theorem"]
 
 
 def _limit_address_space():

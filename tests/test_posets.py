@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from finforce import posets
 from finforce.models import cohen, ed
 from finforce.posets import (
     CorrectSystem,
     FinitePoset,
-    _bool_product,
     _embedding,
     admissible_filters_upsets,
     check_complete_embedding_posets,
@@ -25,27 +25,10 @@ from finforce.posets import (
     is_reduction,
     maximal_antichains,
     memoized,
+    pack_cols,
+    pack_rows,
+    unpack_rows,
 )
-
-
-class TestBoolProduct:
-    @pytest.mark.parametrize("shape", [(5, 7, 3), (0, 4, 6), (6, 4, 0), (3, 0, 2), (40, 40, 40)])
-    def test_matches_integer_reference(self, shape):
-        rows, inner, cols = shape
-        rng = np.random.default_rng(rows * 100 + inner * 10 + cols)
-        a = rng.random((rows, inner)) < 0.3
-        b = rng.random((inner, cols)) < 0.3
-        expect = (a.astype(np.int64) @ b.astype(np.int64)) > 0
-        got = _bool_product(a, b)
-        assert got.dtype == bool and got.shape == (rows, cols)
-        assert (got == expect).all()
-
-    def test_refuses_inner_dimension_of_two_to_the_24(self):
-        inner = 1 << 24
-        a = np.broadcast_to(np.zeros(1, dtype=bool), (1, inner))
-        b = np.broadcast_to(np.zeros((1, 1), dtype=bool), (inner, 1))
-        with pytest.raises(ValueError, match=r"2\*\*24"):
-            _bool_product(a, b)
 
 
 def vee_poset():
@@ -378,3 +361,219 @@ def test_persistence_matches_is_reduction(s):
         if is_reduction(s.p0, s.q0, p, q) and not is_reduction(s.p1, s.q1, p, q)
     ]
     assert rep.failures == expected[:8]
+
+
+# ---------------------------------------------------------------------------
+# Packed order kernels against the dense definitions, with integer products
+# as the reference
+
+
+def _int_product(a, b):
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+def _dense_rejection(leq):
+    """The message `FinitePoset` must raise for ``leq`` (top 0), by the
+    dense definitions, or None."""
+    n = len(leq)
+    if not np.diag(leq).all():
+        return "not reflexive"
+    if (_int_product(leq, leq) & ~leq).any():
+        return "not transitive"
+    if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        return "not antisymmetric"
+    if not leq[:, 0].all():
+        return "top is not the maximum"
+    return None
+
+
+def _closure(leq):
+    while True:
+        new = leq | _int_product(leq, leq)
+        if (new == leq).all():
+            return leq
+        leq = new
+
+
+@st.composite
+def relation_strategy(draw):
+    """A random relation on up to 7 elements, made reflexive, transitive
+    and topped (column 0 full) each with chance 3/4, so that every
+    rejection and acceptance occurs."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    leq = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool).reshape(n, n)
+    leq &= np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool).reshape(n, n)
+    if draw(st.integers(0, 3)):
+        leq |= np.eye(n, dtype=bool)
+    if draw(st.integers(0, 3)):
+        leq = _closure(leq)
+    if draw(st.integers(0, 3)):
+        leq[:, 0] = True
+    return leq
+
+
+def _random_order(n, seed, density=0.05):
+    """A random poset on range(n) with top 0: a closed random DAG."""
+    rng = np.random.default_rng(seed)
+    leq = np.triu(rng.random((n, n)) < density, 1).T | np.eye(n, dtype=bool)
+    leq = _closure(leq)
+    leq[:, 0] = True
+    return leq
+
+
+def _assert_rejection_matches(leq):
+    expected = _dense_rejection(leq)
+    if expected is None:
+        p = FinitePoset(tuple(range(len(leq))), leq, 0)
+        assert (p.leq_matrix == leq).all()
+    else:
+        with pytest.raises(ValueError, match=expected):
+            FinitePoset(tuple(range(len(leq))), leq, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_strategy())
+def test_poset_rejects_exactly_the_dense_violations(leq):
+    """The packed transitivity and antisymmetry checks reject exactly the
+    matrices the dense definitions reject, with the same first message."""
+    _assert_rejection_matches(leq)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_poset_rejection_on_multiword_rows(n):
+    """Rows of more than one word: a valid order, the same order with one
+    transitive cell removed, and with one cell mirrored."""
+    leq = _random_order(n, n)
+    _assert_rejection_matches(leq)
+    i, j = next((i, j) for i, j in np.argwhere(leq) if i != j and (leq[i] & leq[:, j]).sum() > 2)
+    broken = leq.copy()
+    broken[i, j] = False
+    assert _dense_rejection(broken) == "not transitive"
+    _assert_rejection_matches(broken)
+    mirrored = leq.copy()
+    mirrored[j, i] = True
+    assert _dense_rejection(mirrored) in ("not transitive", "not antisymmetric")
+    _assert_rejection_matches(mirrored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_from_relation_is_the_closure(n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    leq = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        leq[a, b] = True
+    leq[:, 0] = True
+    closed = _closure(leq)
+    if _dense_rejection(closed) is None:
+        p = FinitePoset.from_relation(range(n), pairs + [(e, 0) for e in range(n)], top=0)
+        assert (p.leq_matrix == closed).all()
+
+
+def test_pack_round_trip():
+    rng = np.random.default_rng(3)
+    for shape in [(1, 1), (3, 64), (5, 65), (70, 130), (2, 0)]:
+        m = rng.random(shape) < 0.4
+        words = pack_rows(m)
+        assert words.dtype == np.uint64 and words.shape == (shape[0], -(-shape[1] // 64))
+        assert (unpack_rows(words, shape[1]) == m).all()
+        assert not unpack_rows(words)[:, shape[1]:].any()  # zero padding
+        assert (pack_cols(m) == pack_rows(np.ascontiguousarray(m.T))).all()
+
+
+def _compat_reference(p):
+    return _int_product(p.leq_matrix.T, p.leq_matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_poset_strategy())
+def test_compat_matches_integer_product(p):
+    assert (p.compat_matrix == _compat_reference(p)).all()
+
+
+@pytest.mark.parametrize("n", [64, 65, 200])
+def test_compat_matches_integer_product_on_multiword_rows(n, monkeypatch):
+    p = FinitePoset(tuple(range(n)), _random_order(n, n + 1), 0)
+    monkeypatch.setattr(posets, "_BLOCK_WORDS", 7)  # many gather blocks
+    assert (p.compat_matrix == _compat_reference(p)).all()
+
+
+def _assert_reductions_match(sub, sup):
+    red = _embedding(sub, sup)[2]
+    if red is None:
+        return False
+    got = unpack_rows(red, len(sup))
+    expected = np.array([[is_reduction(sub, sup, r, q) for q in sup.elements] for r in sub.elements])
+    assert (got == expected).all()
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(system_strategy())
+def test_reduction_matrix_matches_is_reduction(s):
+    """Every cell of every cached reduction matrix of the four pairs (and of
+    P0 < Q1) is `is_reduction` of that cell."""
+    for sub, sup in ((s.p0, s.p1), (s.p0, s.q0), (s.p1, s.q1), (s.q0, s.q1), (s.p0, s.q1)):
+        _assert_reductions_match(sub, sup)
+
+
+def test_reduction_matrix_on_multiword_rows():
+    n = 150
+    sup = FinitePoset(tuple(range(n)), _random_order(n, 9, density=0.03), 0)
+    rng = np.random.default_rng(5)
+    minimal = set(sup.minimal_elements())  # kept, so compatibility is too
+    sub = sup.restrict([e for e in range(n) if e == 0 or e in minimal or rng.random() < 0.5])
+    assert _assert_reductions_match(sub, sup)
+
+
+def _dense_system_failures(s):
+    """Correct-system failures by the dense definition: reduction matrices
+    as integer products, and persistence as the P1 < Q1 matrix gathered at
+    the rows of P0 and the columns of Q0."""
+    def reductions(sub, sup):
+        ids = [sup.index[e] for e in sub.elements]
+        return ~_int_product(sub.leq_matrix.T, ~_compat_reference(sup)[ids]), ids
+
+    pairs = {"P0<P1": (s.p0, s.p1), "P0<Q0": (s.p0, s.q0), "P1<Q1": (s.p1, s.q1), "Q0<Q1": (s.q0, s.q1)}
+    failures = [(tag,) + f for tag, (a, b) in pairs.items() for f in check_complete_embedding_posets(a, b).failures]
+    if failures:
+        return failures
+    red0, _ = reductions(s.p0, s.q0)
+    red1, _ = reductions(s.p1, s.q1)
+    p_ids = [s.p1.index[e] for e in s.p0.elements]
+    q_ids = [s.q1.index[e] for e in s.q0.elements]
+    broken = np.argwhere(red0 & ~red1[np.ix_(p_ids, q_ids)])
+    return [("reduction-not-persistent", s.p0.elements[i], s.q0.elements[j]) for i, j in broken[:8]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(system_strategy())
+@example(persistence_system())
+def test_correct_system_verdicts_match_dense_definition(s):
+    rep = check_correct_system(s)
+    expected = _dense_system_failures(s)
+    assert rep.failures == expected and rep.ok == (not expected)
+
+
+def test_correct_system_verdicts_on_multiword_rows():
+    n = 140
+    q1 = FinitePoset(tuple(range(n)), _random_order(n, 21, density=0.04), 0)
+    rng = np.random.default_rng(8)
+    minimal = q1.minimal_elements()
+    outcomes = set()
+    for keep, p0_share in ((0.0, 0.5), (0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (1.0, 0.0), (1.0, 0.0)):
+        # keeping the minimal elements keeps compatibility, so the four
+        # embeddings pass and persistence is compared; a P0 of the top
+        # alone reduces everything within <P0, Q0>, so persistence fails
+        flags = rng.random((n, 3)) < (0.8, 0.8, p0_share / 2)
+        flags[0] = True
+        flags[minimal, :2] |= rng.random((len(minimal), 2)) < keep
+        flags[minimal, 2] |= rng.random(len(minimal)) < p0_share
+        p1 = [e for e in range(n) if flags[e, 0]]
+        q0 = [e for e in range(n) if flags[e, 1]]
+        p0 = [e for e in range(n) if flags[e].all()]
+        s = CorrectSystem(q1.restrict(p0), q1.restrict(p1), q1.restrict(q0), q1)
+        failures = check_correct_system(s).failures
+        assert failures == _dense_system_failures(s)
+        outcomes.add(failures[0][0] if failures else "ok")
+    assert outcomes >= {"P0<P1", "reduction-not-persistent", "ok"}
