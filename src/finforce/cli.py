@@ -171,6 +171,9 @@ def _report_structured(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.max_conditions is not None and args.max_conditions < 1:
+        print(f"error: --max-conditions must be at least 1, not {args.max_conditions}", file=sys.stderr)
+        return EXIT_PARSE
     doc, err = _load(args.doc)
     if doc is None:
         return err
@@ -180,9 +183,9 @@ def cmd_verify(args) -> int:
             print(d)
         return EXIT_FAIL
     it = doc.iteration
-    if args.max_conditions:
+    if args.max_conditions is not None:
         it.max_conditions = args.max_conditions
-    seed = args.seed if args.seed else doc.seed
+    seed = doc.seed if args.seed is None else args.seed
     reports = []
     for check in doc.checks or CHECKS:
         try:
@@ -222,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the registered checks")
     p_ver.add_argument("--doc", required=True)
     p_ver.add_argument("--report", help="write the report to this path")
-    p_ver.add_argument("--max-conditions", type=int, default=0)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--max-conditions", type=int, help="at least 1; default: the document's cap")
+    p_ver.add_argument("--seed", type=int, help="default: the document's seed")
     p_ver.add_argument("--format", choices=("text", "structured"), default="structured")
     p_ver.set_defaults(fn=cmd_verify)
     return parser

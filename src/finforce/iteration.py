@@ -17,8 +17,9 @@ oracle against which the synthesized membership codes are verified.
 Because the rule is compositional, `SimpleIteration.filter_table` decides
 each distinct (point, entry) once per generic and joins a condition's
 entries with AND; the order matrix and `realize_filter` read their filter
-membership from such tables.  The order matrix is joined on packed rows
-(`posets.pack_rows`): per stage, one AND of a packed mask per column.
+membership from such tables.  The order is joined on packed rows, per
+stage one AND of a packed mask per column, and reaches `FinitePoset` as
+packed rows (`posets.pack_rows`), never as a dense matrix.
 
 Each recursion step is memoized per iteration with `posets.memoized`, in
 the iteration's one ``_memo``; `synth` and `history` keep their memos
@@ -42,6 +43,7 @@ from .posets import (
     EmbeddingReport,
     FinitePoset,
     _reduce_segments,
+    _transpose,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     filter_defect,
@@ -660,20 +662,21 @@ class SimpleIteration:
         return FinitePoset(elems, self._order_matrix(a, elems), EMPTY_CONDITION)
 
     def _order_matrix(self, a: Subset, elems: list[Condition]) -> np.ndarray:
-        """leq[i, j] iff elems[i] <= elems[j], tabulated stage by stage.
+        """The order on ``elems`` as packed up-set rows: bit j of row i is
+        set iff elems[i] <= elems[j].  It is tabulated stage by stage.
 
         Unrolled, the recursion of `_order_leq` reads: q <= p iff dom p is
         contained in dom q and, at every x in dom p, every generic of
         A & L_x whose filter contains q|<x interprets q(x) below p(x).
 
-        The matrix is built by columns, as packed rows: column j starts as
+        The order is built by columns, as packed rows: column j starts as
         the members whose domain contains dom p_j, one AND of the per-point
         masks of domain holders per distinct domain.  Per x, a stage table
         gives, for each distinct (q|<x, q(x)) and each entry e, whether some
         generic whose filter contains q|<x puts q(x) outside the stage
         order below e; it depends on the column only through its entry, so
         the columns that carry e at x AND in one packed mask of the rows
-        not bad against e.
+        not bad against e.  One packed transpose gives the rows.
 
         An entry is interpreted only on generics whose filter contains the
         restriction of a member carrying it, which are the cells the
@@ -729,10 +732,7 @@ class SimpleIteration:
             fine = np.ones((m, n), dtype=bool)
             fine[:, has] = ~stage_bad[r_idx, e_idx].T
             cols[has] &= pack_rows(fine)[e_idx]
-        leq = np.empty((n, n), dtype=bool)
-        for lo in range(0, n, 64):
-            leq[:, lo:lo + 64] = unpack_rows(cols[lo:lo + 64], n).T
-        return leq
+        return _transpose(cols, n)
 
     # -- structural checks ----------------------------------------------------
 
@@ -749,7 +749,8 @@ class SimpleIteration:
         extra = [p for p in self.members(a, widened=True) if p not in known]
         if not extra:
             return True, None
-        extended = self._order_matrix(a, star + extra)[:len(star), len(star):].any(axis=0)
+        below_star = np.bitwise_or.reduce(self._order_matrix(a, star + extra)[:len(star)], axis=0)
+        extended = unpack_rows(below_star[None], len(star) + len(extra))[0, len(star):]
         for p, ok in zip(extra, extended):
             if not ok:
                 return False, p

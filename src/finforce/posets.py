@@ -1,7 +1,7 @@
-"""Finite posets with a top element, backed by boolean order matrices.
+"""Finite posets with a top element, backed by packed order rows.
 
 Compatibility, antichains, reductions, complete embeddings and correct
-systems are all decided by exhaustive matrix computations.  In a finite
+systems are all decided by exhaustive computations.  In a finite
 poset a filter meets every maximal antichain exactly when it is the up-set
 of a minimal element, which is what makes the brute-force genericity
 oracle (`admissible_filters_upsets`) sound.  `filter_defect` is the one
@@ -11,10 +11,11 @@ E-filters of nice subposets and induced filters all go through it.
 Order kernels run on packed rows.  `pack_rows` stores each row of a
 boolean matrix as uint64 words, 64 cells to a word with zero padding, so
 a row of an n-element poset takes 8 * ceil(n / 64) bytes, about n / 8.  A
-poset packs its up-sets (rows) and down-sets (columns) once, when it is
-validated, and every kernel is an OR or AND of packed rows selected by
-the bits of another packed row (`_reduce_rows`), in blocks of at most
-32 MiB of gathered words.  A kernel touches n / 8 bytes per selected row:
+poset is built from packed up-set rows and validation transposes them
+once into its down-sets (`_transpose`), so no dense n x n matrix lies on
+the way in.  Every kernel is an OR or AND of packed rows selected by the
+bits of another packed row (`_reduce_rows`), in blocks of at most 32 MiB
+of gathered words.  A kernel touches n / 8 bytes per selected row:
 - transitivity: row i must contain the up-sets of its members, nnz * n / 8
   bytes for the nnz cells of the order;
 - compatibility: row i is the OR of the up-sets of the minimal elements
@@ -105,17 +106,6 @@ def pack_rows(m: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def pack_cols(m: np.ndarray) -> np.ndarray:
-    """The columns of a boolean matrix as packed rows: `pack_rows` of its
-    transpose, made 64 rows at a time so the transpose stays in cache."""
-    rows, n = m.shape
-    out = np.zeros((n, -(-rows // 64) * 8), dtype=np.uint8)
-    for w, lo in enumerate(range(0, rows, 64)):
-        block = np.ascontiguousarray(m[lo:lo + 64].T)
-        out[:, 8 * w:8 * w + -(-block.shape[1] // 8)] = np.packbits(block, axis=1, bitorder="little")
-    return out.view(np.uint64)
-
-
 def _bit(words: np.ndarray, i: int, j: int) -> bool:
     """Cell (i, j) of packed rows."""
     return bool(words.view(np.uint8)[i, j >> 3] >> (j & 7) & 1)
@@ -125,8 +115,10 @@ def _cells(words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The boolean matrix of packed rows at the columns ``cols``, read
     byte by byte without unpacking the other columns."""
     cols = np.asarray(cols)
-    picked = np.ascontiguousarray(words).view(np.uint8)[:, cols >> 3] >> (cols & 7).astype(np.uint8)
-    return (picked & 1).view(bool)
+    picked = np.ascontiguousarray(words).view(np.uint8)[:, cols >> 3]  # a copy: shifted in place
+    picked >>= (cols & 7).astype(np.uint8)
+    picked &= 1
+    return picked.view(bool)
 
 
 def unpack_rows(words: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -134,6 +126,18 @@ def unpack_rows(words: np.ndarray, n: int | None = None) -> np.ndarray:
     return np.unpackbits(
         np.ascontiguousarray(words).view(np.uint8), axis=1, count=n, bitorder="little"
     ).view(bool)
+
+
+def _transpose(words: np.ndarray, n: int) -> np.ndarray:
+    """The packed rows of the transpose of the ``n``-column matrix whose
+    packed rows are ``words``, made 64 rows at a time so the transpose
+    stays in cache."""
+    rows = len(words)
+    out = np.zeros((n, -(-rows // 64) * 8), dtype=np.uint8)
+    for w, lo in enumerate(range(0, rows, 64)):
+        block = np.ascontiguousarray(unpack_rows(words[lo:lo + 64], n).T)
+        out[:, 8 * w:8 * w + -(-block.shape[1] // 8)] = np.packbits(block, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 _BLOCK_WORDS = 1 << 22  # words gathered per block of `_reduce_rows`: 32 MiB
@@ -188,29 +192,32 @@ def _reduce_rows(op, table: np.ndarray, mask: np.ndarray, rows: np.ndarray | Non
 class FinitePoset:
     """An immutable finite poset with a designated top element.
 
-    ``leq[i, j]`` holds when ``elements[i] <= elements[j]``.  The matrix is
-    checked to be reflexive, transitive and antisymmetric, and the top must
-    be the maximum.
+    ``up`` holds the up-sets as `pack_rows` lays them out, bit j of row i
+    set when ``elements[i] <= elements[j]``; the poset write-protects it.
+    The order is checked to be reflexive, transitive and antisymmetric, and
+    the top must be the maximum.
     """
 
-    def __init__(self, elements: Sequence[Element], leq: np.ndarray, top: Element):
+    def __init__(self, elements: Sequence[Element], up: np.ndarray, top: Element):
         elements = tuple(elements)
-        leq = np.asarray(leq, dtype=bool)
         n = len(elements)
-        if leq.shape != (n, n):
-            raise ValueError(f"order matrix shape {leq.shape} does not match {n} elements")
-        if not leq.diagonal().all():
+        up = np.ascontiguousarray(up)
+        if up.dtype != np.uint64 or up.shape != (n, -(-n // 64)):
+            raise ValueError(f"up-set rows of {up.dtype} and shape {up.shape} do not pack {n} elements")
+        if n % 64 and (up[:, -1] >> np.uint64(n % 64)).any():
+            raise ValueError("up-set rows have padding bits set")
+        i = np.arange(n)
+        if not (up.view(np.uint8)[i, i >> 3] >> (i & 7).astype(np.uint8) & 1).all():
             raise ValueError("order is not reflexive")
-        up, down = pack_rows(leq), pack_cols(leq)
         # every up-set contains the up-sets of its members (the OR of them
         # holds its own, the relation being reflexive)
         if (_reduce_rows(np.bitwise_or, up, up) != up).any():
             raise ValueError("order is not transitive")
+        down = _transpose(up, n)
         # the only element both above and below i is i itself: n cells
         if np.bitwise_count(up & down).sum() != n:
             raise ValueError("order is not antisymmetric")
-        ti = elements.index(top)
-        if not leq[:, ti].all():
+        if np.bitwise_count(down[elements.index(top)]).sum() != n:
             raise ValueError("top is not the maximum")
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
@@ -226,18 +233,15 @@ class FinitePoset:
                       top: Element) -> "FinitePoset":
         """Build from covering/less-equal pairs; reflexive-transitive closure is taken."""
         elements = tuple(elements)
-        n = len(elements)
         idx = {e: i for i, e in enumerate(elements)}
-        leq = np.eye(n, dtype=bool)
+        leq = np.eye(len(elements), dtype=bool)
         for a, b in pairs:
             leq[idx[a], idx[b]] = True
         up = pack_rows(leq)
-        for _ in range(n):
-            new = _reduce_rows(np.bitwise_or, up, up)
-            if (new == up).all():
-                break
+        # each pass ORs in the up-sets of the members: rows only grow
+        while ((new := _reduce_rows(np.bitwise_or, up, up)) != up).any():
             up = new
-        return cls(elements, unpack_rows(up, n), top)
+        return cls(elements, up, top)
 
     def __len__(self):
         return len(self.elements)
@@ -293,9 +297,8 @@ class FinitePoset:
     def restrict(self, subset: Iterable[Element]) -> "FinitePoset":
         keep = set(subset)
         sub = [e for e in self.elements if e in keep]
-        ids = [self.index[e] for e in sub]
-        leq = self.leq_matrix[np.ix_(ids, ids)]
-        return FinitePoset(sub, leq, self.top)
+        ids = np.array([self.index[e] for e in sub], dtype=np.intp)
+        return FinitePoset(sub, pack_rows(_cells(self._up[ids], ids)), self.top)
 
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
@@ -305,10 +308,7 @@ def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
 
 def common_lower_bound_exists(p: FinitePoset, items: Iterable[Element]) -> bool:
     ids = [p.index[e] for e in items]
-    if not ids:
-        return True
-    below = p.leq_matrix[:, ids].all(axis=1)
-    return bool(below.any())
+    return not ids or bool(np.bitwise_and.reduce(p._down[ids], axis=0).any())
 
 
 def is_antichain(p: FinitePoset, a: Iterable[Element]) -> bool:

@@ -10,7 +10,8 @@ byte-identical apart from timing.
 Every check takes ``(it, names=None, seed=0)``; a check that reads no names
 or draws no sample ignores those arguments.  The subsets, nested pairs and
 correct systems the checks sweep all come from `templates.lattice`, in the
-canonical subset order.
+canonical subset order.  `run_checks` is the one timer: it sets each
+report's ``seconds`` (``timing`` in JSON) around the check it runs.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ def verify_main_theorem(
 
     Beyond ``max_generics`` sequences the sweep runs on a seeded sample and
     the report is labeled sampled."""
-    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="main_theorem", names=len(names))
     full = it.template.all_points()
@@ -223,7 +223,6 @@ def verify_main_theorem(
                 rep.failures.append(
                     Failure("name-evaluation", "", label, str(zbar), str(tuple(direct_vals)), str(got))
                 )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -232,7 +231,6 @@ def verify_history_invariance(
 ) -> Report:
     """Histories computed relative to nested ambient sets must coincide, and
     the A'-choice inside the recursion must be immaterial."""
-    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="history_invariance", names=len(names))
     supersets = _supersets(it)
@@ -273,7 +271,6 @@ def verify_history_invariance(
                     rep.failures.append(
                         Failure("history-name", "", label, f"A={sorted(a)}", str(h_full), str(h_a))
                     )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -310,7 +307,6 @@ def verify_well_definedness(
     """Codes synthesized relative to nested ambient sets, and under every
     admissible delegation choice, must be semantically equal on the
     condition's whole tuple space."""
-    t0 = time.perf_counter()
     names = names or {}
     rep = Report(check="well_definedness", names=len(names))
 
@@ -352,7 +348,6 @@ def verify_well_definedness(
         for a, _ in supersets:
             if a != full and _name_in_pstar(it, a, name):
                 check(first_difference, synth_F(it, a, name), "fcode-ambient", "", label, f"A={sorted(a)}")
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -360,7 +355,6 @@ def verify_density(
     it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
 ) -> Report:
     """P* must be dense in the widened iteration over every subset."""
-    t0 = time.perf_counter()
     rep = Report(check="density")
     for a in _subsets(it):
         rep.checked += 1
@@ -369,7 +363,6 @@ def verify_density(
             rep.failures.append(
                 Failure("density", str(witness), "", f"A={sorted(a)}", "extension in P*", "none")
             )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -377,7 +370,6 @@ def verify_embeddings(
     it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
 ) -> Report:
     """Complete embeddings along every nested pair of the subset lattice."""
-    t0 = time.perf_counter()
     rep = Report(check="embeddings")
     for small, big in lattice(it.template.points, NESTED_PAIRS):
         rep.checked += 1
@@ -390,7 +382,6 @@ def verify_embeddings(
                     "complete", str(emb.failures[:3]),
                 )
             )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -400,7 +391,6 @@ def verify_nice_and_correct(
     """Every subposet value of every R-coordinate table must satisfy the
     E-characterization on its restricted generic space, and every four-poset
     system generated from the subset lattice must be correct."""
-    t0 = time.perf_counter()
     rep = Report(check="nice_and_correct")
     for x in it.template.points:
         asg = it.assignments[x]
@@ -425,7 +415,6 @@ def verify_nice_and_correct(
                     "correct", str(res.failures[:3]),
                 )
             )
-    rep.seconds = time.perf_counter() - t0
     return rep
 
 
@@ -444,4 +433,9 @@ def run_checks(
     which: list[str] | None = None,
     seed: int = 0,
 ) -> list[Report]:
-    return [CHECKS[check](it, names, seed) for check in which or CHECKS]
+    reports = []
+    for check in which or CHECKS:
+        t0 = time.perf_counter()
+        reports.append(CHECKS[check](it, names, seed))
+        reports[-1].seconds = time.perf_counter() - t0
+    return reports

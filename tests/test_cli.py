@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 import finforce
-from finforce import verify
+from finforce import cli, verify
 from finforce.cli import main
 from finforce.workdoc import load_doc, parse_doc
 
@@ -302,6 +302,24 @@ class TestVerify:
             "verify", "--doc", i1_doc, "--max-conditions", "5",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "0"], 0), (["--seed", "3"], 3)])
+    def test_seed_flag_overrides_the_document(self, monkeypatch, argv, seed):
+        """Every shipped document has seed 7; an explicit --seed, 0 too, wins."""
+        seen = []
+
+        def run_checks(it, names, which, seed=0):
+            seen.append(seed)
+            return []
+
+        monkeypatch.setattr(cli, "run_checks", run_checks)
+        assert main(["verify", "--doc", doc_path("fsi2_cc.json")] + argv) == 0
+        assert seen and set(seen) == {seed}
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_conditions_below_one_is_a_usage_error(self, capsys, i1_doc, cap):
+        assert main(["verify", "--doc", i1_doc, "--max-conditions", cap]) == 2
+        assert f"--max-conditions must be at least 1, not {cap}" in capsys.readouterr().err
 
     def test_filter_not_directed_is_a_report_failure(self, tmp_path):
         """fsi2_cc with I_1 cut to the empty set validates, but the filters

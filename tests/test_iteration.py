@@ -28,6 +28,7 @@ from finforce.iteration import (
     realize_filter,
 )
 from finforce.models import cohen
+from finforce.posets import unpack_rows
 from finforce.synth import encode_fsi, fsi_stage_b, fsi_stage_c
 from finforce.verify import verify_main_theorem
 from finforce.workdoc import load_doc
@@ -388,7 +389,7 @@ class TestOrderMatrix:
             for widened in (False, True):
                 elems = it.members(a, widened)
                 expect = _pairwise_order(it, a, elems)
-                got = it._order_matrix(a, elems)
+                got = unpack_rows(it._order_matrix(a, elems), len(elems))
                 assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
 
     def test_fsi_closed_form(self):

@@ -25,7 +25,7 @@ from finforce.posets import (
     is_reduction,
     maximal_antichains,
     memoized,
-    pack_cols,
+    _transpose,
     pack_rows,
     unpack_rows,
 )
@@ -58,7 +58,7 @@ class TestBasics:
     def test_invalid_orders_rejected(self):
         bad = np.array([[True, True], [True, True]])
         with pytest.raises(ValueError):
-            FinitePoset(("a", "b"), bad, "a")
+            FinitePoset(("a", "b"), pack_rows(bad), "a")
 
 
 class TestAntichains:
@@ -131,7 +131,7 @@ def random_poset_strategy():
         for _ in range(n):
             leq = leq | (leq @ leq)
         leq[:, 0] = True  # 0 is the top
-        return FinitePoset(tuple(range(n)), leq, 0)
+        return FinitePoset(tuple(range(n)), pack_rows(leq), 0)
 
     return build()
 
@@ -424,11 +424,11 @@ def _random_order(n, seed, density=0.05):
 def _assert_rejection_matches(leq):
     expected = _dense_rejection(leq)
     if expected is None:
-        p = FinitePoset(tuple(range(len(leq))), leq, 0)
+        p = FinitePoset(tuple(range(len(leq))), pack_rows(leq), 0)
         assert (p.leq_matrix == leq).all()
     else:
         with pytest.raises(ValueError, match=expected):
-            FinitePoset(tuple(range(len(leq))), leq, 0)
+            FinitePoset(tuple(range(len(leq))), pack_rows(leq), 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,9 +465,32 @@ def test_from_relation_is_the_closure(n, data):
         leq[a, b] = True
     leq[:, 0] = True
     closed = _closure(leq)
-    if _dense_rejection(closed) is None:
-        p = FinitePoset.from_relation(range(n), pairs + [(e, 0) for e in range(n)], top=0)
+    expected = _dense_rejection(closed)
+    relation = pairs + [(e, 0) for e in range(n)]
+    if expected is None:
+        p = FinitePoset.from_relation(range(n), relation, top=0)
+        assert (p._up == pack_rows(closed)).all()
         assert (p.leq_matrix == closed).all()
+    else:
+        with pytest.raises(ValueError, match=expected):
+            FinitePoset.from_relation(range(n), relation, top=0)
+
+
+@pytest.mark.parametrize("n", [3, 64, 65])
+def test_poset_rejects_malformed_rows(n):
+    """The constructor takes packed rows only: a dense matrix, rows of the
+    wrong width or count, and rows with a padding bit set are refused."""
+    leq = _random_order(n, n)
+    FinitePoset(tuple(range(n)), pack_rows(leq), 0)
+    words = pack_rows(leq)
+    for bad in (leq, words.astype(np.int64), words[:, :0], np.hstack([words, words]), words[:-1]):
+        with pytest.raises(ValueError, match="do not pack"):
+            FinitePoset(tuple(range(n)), bad, 0)
+    if n % 64:
+        padded = words.copy()
+        padded[1, -1] |= np.uint64(1) << np.uint64(63)
+        with pytest.raises(ValueError, match="padding bits"):
+            FinitePoset(tuple(range(n)), padded, 0)
 
 
 def test_pack_round_trip():
@@ -478,7 +501,7 @@ def test_pack_round_trip():
         assert words.dtype == np.uint64 and words.shape == (shape[0], -(-shape[1] // 64))
         assert (unpack_rows(words, shape[1]) == m).all()
         assert not unpack_rows(words)[:, shape[1]:].any()  # zero padding
-        assert (pack_cols(m) == pack_rows(np.ascontiguousarray(m.T))).all()
+        assert (_transpose(words, shape[1]) == pack_rows(np.ascontiguousarray(m.T))).all()
 
 
 def _compat_reference(p):
@@ -493,7 +516,7 @@ def test_compat_matches_integer_product(p):
 
 @pytest.mark.parametrize("n", [64, 65, 200])
 def test_compat_matches_integer_product_on_multiword_rows(n, monkeypatch):
-    p = FinitePoset(tuple(range(n)), _random_order(n, n + 1), 0)
+    p = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, n + 1)), 0)
     monkeypatch.setattr(posets, "_BLOCK_WORDS", 7)  # many gather blocks
     assert (p.compat_matrix == _compat_reference(p)).all()
 
@@ -519,7 +542,7 @@ def test_reduction_matrix_matches_is_reduction(s):
 
 def test_reduction_matrix_on_multiword_rows():
     n = 150
-    sup = FinitePoset(tuple(range(n)), _random_order(n, 9, density=0.03), 0)
+    sup = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 9, density=0.03)), 0)
     rng = np.random.default_rng(5)
     minimal = set(sup.minimal_elements())  # kept, so compatibility is too
     sub = sup.restrict([e for e in range(n) if e == 0 or e in minimal or rng.random() < 0.5])
@@ -557,7 +580,7 @@ def test_correct_system_verdicts_match_dense_definition(s):
 
 def test_correct_system_verdicts_on_multiword_rows():
     n = 140
-    q1 = FinitePoset(tuple(range(n)), _random_order(n, 21, density=0.04), 0)
+    q1 = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 21, density=0.04)), 0)
     rng = np.random.default_rng(8)
     minimal = q1.minimal_elements()
     outcomes = set()
