@@ -19,7 +19,8 @@ each distinct (point, entry) once per generic and joins a condition's
 entries with AND; the order matrix and `realize_filter` read their filter
 membership from such tables.  The order is joined on packed rows, per
 stage one AND of a packed mask per column, and reaches `FinitePoset` as
-packed rows (`posets.pack_rows`), never as a dense matrix.
+those columns, its packed down-set rows (`posets.pack_rows`), never as a
+dense matrix.
 
 Each recursion step is memoized per iteration with `posets.memoized`, in
 the iteration's one ``_memo``; `synth` and `history` keep their memos
@@ -43,7 +44,6 @@ from .posets import (
     EmbeddingReport,
     FinitePoset,
     _reduce_segments,
-    _transpose,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     filter_defect,
@@ -662,21 +662,21 @@ class SimpleIteration:
         return FinitePoset(elems, self._order_matrix(a, elems), EMPTY_CONDITION)
 
     def _order_matrix(self, a: Subset, elems: list[Condition]) -> np.ndarray:
-        """The order on ``elems`` as packed up-set rows: bit j of row i is
-        set iff elems[i] <= elems[j].  It is tabulated stage by stage.
+        """The order on ``elems`` as packed down-set rows, the form
+        `FinitePoset` takes: bit i of row j is set iff elems[i] <= elems[j],
+        so row j is column j of the order.  It is tabulated stage by stage.
 
         Unrolled, the recursion of `_order_leq` reads: q <= p iff dom p is
         contained in dom q and, at every x in dom p, every generic of
         A & L_x whose filter contains q|<x interprets q(x) below p(x).
 
-        The order is built by columns, as packed rows: column j starts as
-        the members whose domain contains dom p_j, one AND of the per-point
-        masks of domain holders per distinct domain.  Per x, a stage table
+        Column j starts as the members whose domain contains dom p_j, one
+        AND of the per-point masks of domain holders per distinct domain.  Per x, a stage table
         gives, for each distinct (q|<x, q(x)) and each entry e, whether some
         generic whose filter contains q|<x puts q(x) outside the stage
         order below e; it depends on the column only through its entry, so
         the columns that carry e at x AND in one packed mask of the rows
-        not bad against e.  One packed transpose gives the rows.
+        not bad against e.
 
         An entry is interpreted only on generics whose filter contains the
         restriction of a member carrying it, which are the cells the
@@ -732,7 +732,7 @@ class SimpleIteration:
             fine = np.ones((m, n), dtype=bool)
             fine[:, has] = ~stage_bad[r_idx, e_idx].T
             cols[has] &= pack_rows(fine)[e_idx]
-        return _transpose(cols, n)
+        return cols
 
     # -- structural checks ----------------------------------------------------
 
@@ -742,15 +742,17 @@ class SimpleIteration:
         A member of P*|A extends itself, so only the widened conditions
         outside it can fail.  The raw order over P*|A and those conditions
         (the widened P|A, which can be a preorder only, so `FinitePoset`
-        would reject it) is read at its P* rows and their columns; the first
-        without an extension, in widened order, is the witness."""
+        would reject it) is read at the down-sets of those conditions, masked
+        to P*; the first without an extension, in widened order, is the
+        witness."""
         star = self.members(a)
         known = set(star)
         extra = [p for p in self.members(a, widened=True) if p not in known]
         if not extra:
             return True, None
-        below_star = np.bitwise_or.reduce(self._order_matrix(a, star + extra)[:len(star)], axis=0)
-        extended = unpack_rows(below_star[None], len(star) + len(extra))[0, len(star):]
+        down = self._order_matrix(a, star + extra)[len(star):]
+        in_star = pack_rows((np.arange(len(star) + len(extra)) < len(star))[None])
+        extended = (down & in_star).any(axis=1)
         for p, ok in zip(extra, extended):
             if not ok:
                 return False, p

@@ -232,7 +232,7 @@ def cohen(k: int = 2, m: int = 2) -> BorelPosetModel:
     alphabet.  E(z, s) holds when s is a prefix of z; the admissible filters
     are the prefix filters of the length-k strings."""
     elements = _strings_up_to(k, m)
-    poset = FinitePoset(elements, pack_rows(_prefix_table(*_stem_table(elements, k))), ())
+    poset = FinitePoset(elements, pack_rows(_prefix_table(*_stem_table(elements, k)).T), ())
     space = tuple(s for s in elements if len(s) == k)
 
     def relation(z, s):
@@ -294,7 +294,7 @@ def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, tuple]:
         & ~clash[:, None, :, :]
     )
     n = len(elements)
-    poset = FinitePoset(elements, pack_rows(leq.reshape(n, n)), ((), frozenset()))
+    poset = FinitePoset(elements, pack_rows(leq.reshape(n, n).T), ((), frozenset()))
     space = tuple(tuple(z) for z in itertools.product(range(m), repeat=k))
     return poset, space, tuple(stems)
 

@@ -11,8 +11,8 @@ E-filters of nice subposets and induced filters all go through it.
 Order kernels run on packed rows.  `pack_rows` stores each row of a
 boolean matrix as uint64 words, 64 cells to a word with zero padding, so
 a row of an n-element poset takes 8 * ceil(n / 64) bytes, about n / 8.  A
-poset is built from packed up-set rows and validation transposes them
-once into its down-sets (`_transpose`), so no dense n x n matrix lies on
+poset is built from packed down-set rows and validation transposes them
+once into its up-sets (`_transpose`), so no dense n x n matrix lies on
 the way in.  Every kernel is an OR or AND of packed rows selected by the
 bits of another packed row (`_reduce_rows`), in blocks of at most 32 MiB
 of gathered words.  A kernel touches n / 8 bytes per selected row:
@@ -192,28 +192,28 @@ def _reduce_rows(op, table: np.ndarray, mask: np.ndarray, rows: np.ndarray | Non
 class FinitePoset:
     """An immutable finite poset with a designated top element.
 
-    ``up`` holds the up-sets as `pack_rows` lays them out, bit j of row i
-    set when ``elements[i] <= elements[j]``; the poset write-protects it.
+    ``down`` holds the down-sets as `pack_rows` lays them out, bit i of row
+    j set when ``elements[i] <= elements[j]``; the poset write-protects it.
     The order is checked to be reflexive, transitive and antisymmetric, and
     the top must be the maximum.
     """
 
-    def __init__(self, elements: Sequence[Element], up: np.ndarray, top: Element):
+    def __init__(self, elements: Sequence[Element], down: np.ndarray, top: Element):
         elements = tuple(elements)
         n = len(elements)
-        up = np.ascontiguousarray(up)
-        if up.dtype != np.uint64 or up.shape != (n, -(-n // 64)):
-            raise ValueError(f"up-set rows of {up.dtype} and shape {up.shape} do not pack {n} elements")
-        if n % 64 and (up[:, -1] >> np.uint64(n % 64)).any():
-            raise ValueError("up-set rows have padding bits set")
+        down = np.ascontiguousarray(down)
+        if down.dtype != np.uint64 or down.shape != (n, -(-n // 64)):
+            raise ValueError(f"down-set rows of {down.dtype} and shape {down.shape} do not pack {n} elements")
+        if n % 64 and (down[:, -1] >> np.uint64(n % 64)).any():
+            raise ValueError("down-set rows have padding bits set")
         i = np.arange(n)
-        if not (up.view(np.uint8)[i, i >> 3] >> (i & 7).astype(np.uint8) & 1).all():
+        if not (down.view(np.uint8)[i, i >> 3] >> (i & 7).astype(np.uint8) & 1).all():
             raise ValueError("order is not reflexive")
-        # every up-set contains the up-sets of its members (the OR of them
-        # holds its own, the relation being reflexive)
-        if (_reduce_rows(np.bitwise_or, up, up) != up).any():
+        # every down-set contains the down-sets of its members (the OR of
+        # them holds its own, the relation being reflexive)
+        if (_reduce_rows(np.bitwise_or, down, down) != down).any():
             raise ValueError("order is not transitive")
-        down = _transpose(up, n)
+        up = _transpose(down, n)
         # the only element both above and below i is i itself: n cells
         if np.bitwise_count(up & down).sum() != n:
             raise ValueError("order is not antisymmetric")
@@ -234,14 +234,14 @@ class FinitePoset:
         """Build from covering/less-equal pairs; reflexive-transitive closure is taken."""
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
-        leq = np.eye(len(elements), dtype=bool)
+        geq = np.eye(len(elements), dtype=bool)
         for a, b in pairs:
-            leq[idx[a], idx[b]] = True
-        up = pack_rows(leq)
-        # each pass ORs in the up-sets of the members: rows only grow
-        while ((new := _reduce_rows(np.bitwise_or, up, up)) != up).any():
-            up = new
-        return cls(elements, up, top)
+            geq[idx[b], idx[a]] = True
+        down = pack_rows(geq)
+        # each pass ORs in the down-sets of the members: rows only grow
+        while ((new := _reduce_rows(np.bitwise_or, down, down)) != down).any():
+            down = new
+        return cls(elements, down, top)
 
     def __len__(self):
         return len(self.elements)
@@ -298,7 +298,7 @@ class FinitePoset:
         keep = set(subset)
         sub = [e for e in self.elements if e in keep]
         ids = np.array([self.index[e] for e in sub], dtype=np.intp)
-        return FinitePoset(sub, pack_rows(_cells(self._up[ids], ids)), self.top)
+        return FinitePoset(sub, pack_rows(_cells(self._down[ids], ids)), self.top)
 
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:

@@ -238,7 +238,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
     _expect(isinstance(raw, dict), "$", "document must be a JSON object")
     run = _shaped(raw.get("run", {}), dict, "run")
     max_conditions = run.get("max_conditions", 100_000)
-    _expect(_natural(max_conditions), "run.max_conditions", "max_conditions must be a natural")
+    _expect(_natural(max_conditions, 1), "run.max_conditions", "max_conditions must be a positive integer")
 
     tspec = raw.get("template")
     _expect(isinstance(tspec, dict), "template", "missing template block")

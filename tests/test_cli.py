@@ -104,8 +104,11 @@ class TestValidate:
                      "names.stage1_bit[0][0]: name values are naturals",
                      id="name-value-negative"),
         pytest.param("fsi2_cc.json", ("run", "max_conditions"), True,
-                     "run.max_conditions: max_conditions must be a natural",
+                     "run.max_conditions: max_conditions must be a positive integer",
                      id="max-conditions"),
+        pytest.param("fsi2_cc.json", ("run", "max_conditions"), 0,
+                     "run.max_conditions: max_conditions must be a positive integer",
+                     id="max-conditions-zero"),
     ])
     def test_natural_fields(self, tmp_path, capsys, name, keys, value, message):
         """Fields that hold naturals reject JSON booleans (which Python reads

@@ -389,7 +389,7 @@ class TestOrderMatrix:
             for widened in (False, True):
                 elems = it.members(a, widened)
                 expect = _pairwise_order(it, a, elems)
-                got = unpack_rows(it._order_matrix(a, elems), len(elems))
+                got = unpack_rows(it._order_matrix(a, elems), len(elems)).T
                 assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
 
     def test_fsi_closed_form(self):

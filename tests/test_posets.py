@@ -131,7 +131,7 @@ def random_poset_strategy():
         for _ in range(n):
             leq = leq | (leq @ leq)
         leq[:, 0] = True  # 0 is the top
-        return FinitePoset(tuple(range(n)), pack_rows(leq), 0)
+        return FinitePoset(tuple(range(n)), pack_rows(leq.T), 0)
 
     return build()
 
@@ -424,11 +424,11 @@ def _random_order(n, seed, density=0.05):
 def _assert_rejection_matches(leq):
     expected = _dense_rejection(leq)
     if expected is None:
-        p = FinitePoset(tuple(range(len(leq))), pack_rows(leq), 0)
+        p = FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
         assert (p.leq_matrix == leq).all()
     else:
         with pytest.raises(ValueError, match=expected):
-            FinitePoset(tuple(range(len(leq))), pack_rows(leq), 0)
+            FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -470,6 +470,7 @@ def test_from_relation_is_the_closure(n, data):
     if expected is None:
         p = FinitePoset.from_relation(range(n), relation, top=0)
         assert (p._up == pack_rows(closed)).all()
+        assert (p._down == pack_rows(closed.T)).all()
         assert (p.leq_matrix == closed).all()
     else:
         with pytest.raises(ValueError, match=expected):
@@ -481,8 +482,8 @@ def test_poset_rejects_malformed_rows(n):
     """The constructor takes packed rows only: a dense matrix, rows of the
     wrong width or count, and rows with a padding bit set are refused."""
     leq = _random_order(n, n)
-    FinitePoset(tuple(range(n)), pack_rows(leq), 0)
-    words = pack_rows(leq)
+    FinitePoset(tuple(range(n)), pack_rows(leq.T), 0)
+    words = pack_rows(leq.T)
     for bad in (leq, words.astype(np.int64), words[:, :0], np.hstack([words, words]), words[:-1]):
         with pytest.raises(ValueError, match="do not pack"):
             FinitePoset(tuple(range(n)), bad, 0)
@@ -516,7 +517,7 @@ def test_compat_matches_integer_product(p):
 
 @pytest.mark.parametrize("n", [64, 65, 200])
 def test_compat_matches_integer_product_on_multiword_rows(n, monkeypatch):
-    p = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, n + 1)), 0)
+    p = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, n + 1).T), 0)
     monkeypatch.setattr(posets, "_BLOCK_WORDS", 7)  # many gather blocks
     assert (p.compat_matrix == _compat_reference(p)).all()
 
@@ -542,7 +543,7 @@ def test_reduction_matrix_matches_is_reduction(s):
 
 def test_reduction_matrix_on_multiword_rows():
     n = 150
-    sup = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 9, density=0.03)), 0)
+    sup = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 9, density=0.03).T), 0)
     rng = np.random.default_rng(5)
     minimal = set(sup.minimal_elements())  # kept, so compatibility is too
     sub = sup.restrict([e for e in range(n) if e == 0 or e in minimal or rng.random() < 0.5])
@@ -580,7 +581,7 @@ def test_correct_system_verdicts_match_dense_definition(s):
 
 def test_correct_system_verdicts_on_multiword_rows():
     n = 140
-    q1 = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 21, density=0.04)), 0)
+    q1 = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, 21, density=0.04).T), 0)
     rng = np.random.default_rng(8)
     minimal = q1.minimal_elements()
     outcomes = set()
