@@ -4,9 +4,14 @@ A simple iteration assigns each template point one of three coordinate
 kinds: B (a Borel-poset model used outright), R (a decision-table name for
 a validated subposet of such a model, activated only when its support set
 is available), or C (a decision-table name for a small poset on an ordinal
-domain).  Conditions are finite partial maps; C-entries are literal
-ordinals, which is what makes the collection P* dense in the widened
-iteration.
+domain).  Conditions are finite partial maps.
+
+Membership is one relation, that of the widened iteration P, where a C
+entry is a literal ordinal or a widened entry (a decision-table name for
+one); `entry_contexts` decides it.  The dense subcollection P* is the
+ordinal part of P: its conditions are those of P whose C entries are all
+literal ordinals (`member_pstar`).  Only the palettes (`entry_palette`,
+`members`) tell the two apart.
 
 Membership, the order, generic sequences and induced filters are all
 decided semantically: a condition enters the filter of a generic sequence
@@ -388,43 +393,49 @@ class SimpleIteration:
 
     # -- membership ---------------------------------------------------------
 
-    @memoized
-    def member_pstar(self, a: Subset, p: Condition, widened: bool = False) -> bool:
-        if p.is_empty():
-            return True
-        if not p.domain <= a:
-            return False
-        return bool(self.entry_contexts(a, p, widened))
+    def member_p(self, a: Subset, p: Condition) -> bool:
+        """p is a condition of the widened P|A."""
+        return p.is_empty() or (p.domain <= a and bool(self.entry_contexts(a, p)))
 
     @memoized
-    def entry_contexts(self, a: Subset, p: Condition, widened: bool = False) -> tuple[Subset, ...]:
-        """All A' from the trace at max(dom p) that admit p: the restriction
-        below max(dom p) is a member over A' and the top entry is valid."""
+    def member_pstar(self, a: Subset, p: Condition) -> bool:
+        """p is a condition of P*|A: one of the widened P|A whose entries at
+        C points are all literal ordinals."""
+        return self.member_p(a, p) and all(
+            isinstance(e, (int, np.integer)) for x, e in p.entries if self.assignments[x].kind == "C"
+        )
+
+    @memoized
+    def entry_contexts(self, a: Subset, p: Condition) -> tuple[Subset, ...]:
+        """All A' from the trace at max(dom p) over which p is a condition of
+        the widened P: the restriction below max(dom p) is one over A' and
+        the top entry is valid.  Only a name at a C point tells P from P*
+        here, so a member of P*|A has the same contexts in either."""
         x = self.template.order.max_of(p.domain)
         rest = p.before(x, self.rank)
         entry = p.get(x)
         return tuple(
             a2
             for a2 in self.template.sorted_subsets(trace_family(self.template, x, a))
-            if self.member_pstar(a2, rest, widened) and self._entry_ok(x, entry, a2, widened)
+            if self.member_p(a2, rest) and self._entry_ok(x, entry, a2)
         )
 
-    def canonical_context(self, a: Subset, p: Condition, widened: bool = False) -> Subset:
+    def canonical_context(self, a: Subset, p: Condition) -> Subset:
         """The canonical A'-choice: the inclusion-least valid trace member if
         unique, else the least valid one in the canonical subset order."""
-        contexts = self.entry_contexts(a, p, widened)
+        contexts = self.entry_contexts(a, p)
         if not contexts:
             raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
         return self.template.canonical_choice(contexts)
 
-    def _entry_ok(self, x: Point, e: Entry, a2: Subset, widened: bool) -> bool:
+    def _entry_ok(self, x: Point, e: Entry, a2: Subset) -> bool:
         asg = self.assignments[x]
         if asg.kind == "C":
             if isinstance(e, (int, np.integer)):
                 if not 0 <= e < asg.gamma:
                     return False
                 return e == 0 or asg.support <= a2
-            if isinstance(e, DecisionTableName) and widened:
+            if isinstance(e, DecisionTableName):
                 return asg.support <= a2 and e.base <= asg.support
             return False
         if e is TRIV:
@@ -581,14 +592,14 @@ class SimpleIteration:
 
     # -- the order -----------------------------------------------------------
 
-    def order_leq(self, a: Subset, q: Condition, p: Condition, widened: bool = False) -> bool:
+    def order_leq(self, a: Subset, q: Condition, p: Condition) -> bool:
         """q <= p, decided recursively: below the last coordinate of q the
         restrictions must compare, and at that coordinate every admissible
         generic of the lower stages whose filter contains the restriction of
         q must interpret the two entries to comparable instance values."""
         for c in (q, p):
-            if not self.member_pstar(a, c, widened):
-                raise MembershipError(f"{c} is not a member of P{'' if widened else '*'}|{sorted(a)}")
+            if not self.member_pstar(a, c):
+                raise MembershipError(f"{c} is not a member of P*|{sorted(a)}")
         return self._order_leq(a, q, p)
 
     def _order_leq(self, a: Subset, q: Condition, p: Condition) -> bool:
@@ -630,6 +641,9 @@ class SimpleIteration:
     # -- materialization ------------------------------------------------------
 
     def members(self, a: Subset, widened: bool = False) -> list[Condition]:
+        """The conditions of P|A drawn from the widened palettes, or by
+        default from the ordinal ones, which give exactly P*|A; in
+        canonical order."""
         points = self.points_of(a)
         total = 1
         for x in points:
@@ -643,7 +657,7 @@ class SimpleIteration:
                 (x, e) for x, e in zip(points, combo) if e is not None
             )
             p = Condition(entries)
-            if self.member_pstar(a, p, widened):
+            if self.member_p(a, p):
                 out.append(p)
         out.sort(key=self._condition_key)
         return out
@@ -739,15 +753,18 @@ class SimpleIteration:
     def check_density_pstar(self, a: Subset) -> tuple[bool, Condition | None]:
         """Every condition of the widened P|A must have a P*|A extension.
 
-        A member of P*|A extends itself, so only the widened conditions
-        outside it can fail.  The raw order over P*|A and those conditions
-        (the widened P|A, which can be a preorder only, so `FinitePoset`
-        would reject it) is read at the down-sets of those conditions, masked
-        to P*; the first without an extension, in widened order, is the
-        witness."""
-        star = self.members(a)
-        known = set(star)
-        extra = [p for p in self.members(a, widened=True) if p not in known]
+        Where no point of A widens its palette, P|A is P*|A and nothing is
+        enumerated.  Otherwise the widened members split into P*|A, each of
+        which extends itself, and the rest, the only ones that can fail.
+        The raw order over P*|A and the rest (the widened P|A, which can be
+        a preorder only, so `FinitePoset` would reject it) is read at the
+        down-sets of the rest, masked to P*; the first without an
+        extension, in widened order, is the witness."""
+        if not any(self.assignments[x].kind == "C" and self.assignments[x].widened_entries for x in a):
+            return True, None
+        widened = self.members(a, widened=True)
+        star = [p for p in widened if self.member_pstar(a, p)]
+        extra = [p for p in widened if not self.member_pstar(a, p)]
         if not extra:
             return True, None
         down = self._order_matrix(a, star + extra)[len(star):]

@@ -434,7 +434,7 @@ def run_checks(
     seed: int = 0,
 ) -> list[Report]:
     reports = []
-    for check in which or CHECKS:
+    for check in CHECKS if which is None else which:
         t0 = time.perf_counter()
         reports.append(CHECKS[check](it, names, seed))
         reports[-1].seconds = time.perf_counter() - t0

@@ -380,8 +380,10 @@ def parse_doc(text: str) -> WorkbenchDoc:
     from .verify import CHECKS
 
     checks = _shaped(run.get("checks", list(CHECKS)), list, "run.checks")
-    for c in checks:
+    _expect(checks, "run.checks", "must name at least one check")
+    for i, c in enumerate(checks):
         _named(CHECKS, c, "run.checks", "check")
+        _expect(c not in checks[:i], "run.checks", f"check {c!r} is listed twice")
     seed = run.get("seed", 0)
     _expect(_natural(seed), "run.seed", "seed must be a natural")
     return WorkbenchDoc(

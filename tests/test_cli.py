@@ -139,6 +139,10 @@ class TestValidate:
                      "iteration.1.support: must be a JSON array of point names", id="support"),
         pytest.param("fsi2_cc.json", ("run", "checks"), "density",
                      "run.checks: must be a JSON array", id="checks"),
+        pytest.param("fsi2_cc.json", ("run", "checks"), [],
+                     "run.checks: must name at least one check", id="checks-empty"),
+        pytest.param("fsi2_cc.json", ("run", "checks"), ["density", "density"],
+                     "run.checks: check 'density' is listed twice", id="checks-repeated"),
         pytest.param("fsi2_cc.json", ("run", "seed"), "x", "run.seed: seed must be a natural",
                      id="seed"),
         pytest.param("fsi2_cc.json", ("iteration", "0", "model"), [],
@@ -250,6 +254,16 @@ class TestSynth:
         line = capsys.readouterr().out.splitlines()[0]
         code = parse_code(line, doc.point_models)
         assert line == str(code)
+
+    def test_table_name_missing_a_generic(self, tmp_path, capsys):
+        """synth does not validate its document, so an entry table cut to
+        one row (t1 at c, read on the generics of a) is met while deciding
+        membership: exit 1 with the message, not a traceback."""
+        with open(doc_path("i1.json"), encoding="utf-8") as fh:
+            table = json.load(fh)["entries"]["t1"]["table"]
+        bad = edited_doc(tmp_path, "i1.json", ("entries", "t1", "table"), table[:1])
+        assert main(["synth", "--doc", bad, "--cond", '{"c": {"entry": "t1"}}']) == 1
+        assert capsys.readouterr().err == "error: filter misses the antichain of t1\n"
 
     def test_name_member_outside_pstar(self, tmp_path, capsys):
         """A registered name whose antichain holds a condition outside P*

@@ -30,7 +30,7 @@ from finforce.iteration import (
 from finforce.models import cohen
 from finforce.posets import unpack_rows
 from finforce.synth import encode_fsi, fsi_stage_b, fsi_stage_c
-from finforce.verify import verify_main_theorem
+from finforce.verify import verify_density, verify_main_theorem
 from finforce.workdoc import load_doc
 
 
@@ -150,6 +150,20 @@ class TestOrder:
         it = i1.iteration
         with pytest.raises(MembershipError):
             it.order_leq(frozenset({"b"}), i1.cond({"b": 1}), EMPTY_CONDITION)
+
+    def test_widened_condition_raises(self, i1):
+        """order_leq is the order of P*: a condition of the widened P with a
+        name at the C point b is refused, though it is a member of P."""
+        from finforce.iteration import MembershipError
+
+        it = i1.iteration
+        a = frozenset({"a", "b"})
+        p = i1.cond({"b": i1.w1})
+        assert it.member_p(a, p)
+        with pytest.raises(MembershipError):
+            it.order_leq(a, p, p)
+        with pytest.raises(MembershipError):
+            it.order_leq(a, EMPTY_CONDITION, p)
 
 
 class TestBuild:
@@ -310,8 +324,8 @@ class TestDensity:
         it = i1.iteration
         a = frozenset({"a", "b"})
         p = i1.cond({"b": i1.w1})
-        assert it.member_pstar(a, p, widened=True)
-        assert not it.member_pstar(a, p, widened=False)
+        assert it.entry_contexts(a, p)
+        assert not it.member_pstar(a, p)
         q = i1.cond({"a": const_name((0,)), "b": 1})
         assert it._order_leq(a, q, p)
 
@@ -348,6 +362,20 @@ class TestDensity:
             ok, _ = it.check_density_pstar(a)
             assert ok
 
+    @pytest.mark.parametrize("make", [
+        lambda: fixtures.fsi2_cohen_cohen()[0],
+        lambda: encode_fsi([fsi_stage_b(cohen(1, 2))] * 3),
+    ], ids=["fsi2_cc", "fsi3"])
+    def test_no_widened_entries_enumerate_nothing(self, make):
+        """With no widened entry at any point, P|A is P*|A on every subset,
+        so the density check passes without filling a memo."""
+        it = make()
+        it.build_poset(it.template.all_points())
+        before = sum(map(len, it._memo.values()))
+        rep = verify_density(it)
+        assert rep.passed and rep.checked == 2 ** len(it.template.points)
+        assert sum(map(len, it._memo.values())) == before
+
 
 def _pairwise_order(it, a, elems):
     """The order matrix by the recursion, pair by pair: the reference for
@@ -379,6 +407,16 @@ ITERATIONS = {
     "doc_fsi2_cohen_c": lambda: _shipped_iteration("fsi2_cohen_c.json"),
 }
 over_iterations = pytest.mark.parametrize("make", list(ITERATIONS.values()), ids=list(ITERATIONS))
+
+
+class TestOneRelation:
+    @over_iterations
+    def test_pstar_is_the_ordinal_part_of_p(self, make):
+        """P*|A is P|A cut to the conditions that member_pstar accepts, in
+        the same canonical order."""
+        it = make()
+        for a in all_subsets(it.template.points):
+            assert it.members(a) == [p for p in it.members(a, widened=True) if it.member_pstar(a, p)]
 
 
 class TestOrderMatrix:
