@@ -207,6 +207,9 @@ def cmd_verify(args) -> int:
         except MemoryError:
             print(f"out of memory in check {check}", file=sys.stderr)
             return EXIT_CAP
+        except IterationError as exc:
+            print(f"error in check {check}: {exc}", file=sys.stderr)
+            return EXIT_FAIL
     text = _report_text(reports) if args.format == "text" else _report_structured(reports)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

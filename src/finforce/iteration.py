@@ -13,6 +13,14 @@ ordinal part of P: its conditions are those of P whose C entries are all
 literal ordinals (`member_pstar`).  Only the palettes (`entry_palette`,
 `members`) tell the two apart.
 
+`members` builds P|A the way the recursion on depth defines it, stage by
+stage: the members whose domain has maximum x are the members r of each
+trace set A' of I_x on A, extended by each palette entry e valid over A'.
+The A' that give one (r, e) are its `entry_contexts`, so the table records
+them as that function's answers.  `member_p`, `member_pstar` and
+`entry_contexts` stay the recursion for a single condition, which builds
+no table.
+
 Membership, the order, generic sequences and induced filters are all
 decided semantically: a condition enters the filter of a generic sequence
 exactly when each of its interpreted entries enters the coordinate filter
@@ -408,9 +416,11 @@ class SimpleIteration:
     @memoized
     def entry_contexts(self, a: Subset, p: Condition) -> tuple[Subset, ...]:
         """All A' from the trace at max(dom p) over which p is a condition of
-        the widened P: the restriction below max(dom p) is one over A' and
-        the top entry is valid.  Only a name at a C point tells P from P*
-        here, so a member of P*|A has the same contexts in either."""
+        the widened P, in canonical order: the restriction below max(dom p)
+        is one over A' and the top entry is valid.  Only a name at a C point
+        tells P from P* here, so a member of P*|A has the same contexts in
+        either.  This is the single-condition query; `members` fills its
+        answers for the members it builds."""
         x = self.template.order.max_of(p.domain)
         rest = p.before(x, self.rank)
         entry = p.get(x)
@@ -643,24 +653,41 @@ class SimpleIteration:
     def members(self, a: Subset, widened: bool = False) -> list[Condition]:
         """The conditions of P|A drawn from the widened palettes, or by
         default from the ordinal ones, which give exactly P*|A; in
-        canonical order."""
-        points = self.points_of(a)
+        canonical order.  The palette product bounds their number, and is
+        checked against the cap before any work; the list is built stage
+        by stage (`_member_table`)."""
         total = 1
-        for x in points:
+        for x in self.points_of(a):
             total *= len(self.entry_palette(x, widened)) + 1
         if total > self.max_conditions:
             raise ResourceCapExceeded(f"conditions over {sorted(a)}", total, self.max_conditions)
-        out = []
-        choices = [[None] + self.entry_palette(x, widened) for x in points]
-        for combo in itertools.product(*choices):
-            entries = tuple(
-                (x, e) for x, e in zip(points, combo) if e is not None
-            )
-            p = Condition(entries)
-            if self.member_p(a, p):
+        return list(self._member_table(a, widened))
+
+    @memoized
+    def _member_table(self, a: Subset, widened: bool) -> tuple[Condition, ...]:
+        """`members` by recursion on depth.  A condition with maximum x is a
+        member when, for some A' in the trace of I_x on A, its restriction
+        below x is a member over A' and its entry at x is valid over A'.  So
+        each point x walks the trace sets A' once, in canonical order, and
+        joins the members of A' (this table, one subset down) with the
+        palette entries valid over A'; the A' that give a condition are its
+        `entry_contexts`, recorded as they are found."""
+        out = [EMPTY_CONDITION]
+        for x in self.points_of(a):
+            palette = self.entry_palette(x, widened)
+            contexts: dict[tuple[Condition, Entry], list[Subset]] = defaultdict(list)
+            for a2 in self.template.sorted_subsets(trace_family(self.template, x, a)):
+                valid = [e for e in palette if self._entry_ok(x, e, a2)]
+                if valid:
+                    for r in self._member_table(a2, widened):
+                        for e in valid:
+                            contexts[r, e].append(a2)
+            for (r, e), found in contexts.items():
+                p = Condition(r.entries + ((x, e),))
+                SimpleIteration.entry_contexts.record(self, (a, p), tuple(found))
                 out.append(p)
         out.sort(key=self._condition_key)
-        return out
+        return tuple(out)
 
     def _condition_key(self, p: Condition):
         return (

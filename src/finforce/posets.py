@@ -73,6 +73,11 @@ def memoized(fn):
     defaults filled in, so ``f(o, x)`` and ``f(o, x, False)`` share an entry
     when False is the default.  Answers are shared, so callers must not
     mutate them.  The uncached body stays reachable as ``__wrapped__``.
+
+    ``record(owner, args, answer)`` stores an answer that was computed
+    outside ``fn``, for ``args`` given in the key's form (positional, with
+    defaults filled in), unless an answer is already there: a caller that
+    tabulates many answers at once fills the entries a later call reads.
     """
     sig = inspect.signature(fn)
     arity = len(sig.parameters) - 1
@@ -94,6 +99,10 @@ def memoized(fn):
             hit = table[args] = fn(owner, *args)
         return hit
 
+    def record(owner, args, answer):
+        owner._memo[cached].setdefault(args, answer)
+
+    cached.record = record
     return cached
 
 

@@ -234,6 +234,10 @@ def verify_history_invariance(
     names = names or {}
     rep = Report(check="history_invariance", names=len(names))
     supersets = _supersets(it)
+    # every P*|A first: the histories over a larger A then read the
+    # contexts its table recorded instead of recursing for them
+    for a, _ in supersets:
+        it.members(a)
     for a_small, bigger in supersets:
         for p in it.members(a_small):
             h_small = history_of_condition(it, a_small, p)

@@ -13,6 +13,7 @@ import pytest
 import finforce
 from finforce import cli, verify
 from finforce.cli import main
+from finforce.iteration import IterationError
 from finforce.workdoc import load_doc, parse_doc
 
 
@@ -374,6 +375,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == "out of memory in check density\n"
         assert ran == ["main_theorem"]
+
+    @pytest.mark.parametrize("check", [
+        "history_invariance", "well_definedness", "density", "embeddings", "nice_and_correct",
+    ])
+    def test_iteration_error_in_a_check_exits_1(self, monkeypatch, capsys, check):
+        """An IterationError that escapes a check ends the run with exit 1
+        and one line naming the check, not a traceback."""
+        def broken(it, names=None, seed=0):
+            raise IterationError("table name t reads ['1'] outside its base []")
+
+        monkeypatch.setitem(verify.CHECKS, check, broken)
+        assert main(["verify", "--doc", doc_path("fsi2_cc.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in check {check}: table name t reads ['1'] outside its base []\n"
+        assert "Traceback" not in err
 
 
 def _limit_address_space():

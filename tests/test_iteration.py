@@ -2,6 +2,7 @@
 checks of simple iterations, on the shipped fixtures."""
 
 import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -417,6 +418,83 @@ class TestOneRelation:
         it = make()
         for a in all_subsets(it.template.points):
             assert it.members(a) == [p for p in it.members(a, widened=True) if it.member_pstar(a, p)]
+
+
+def _palette_members(it, a, widened):
+    """P|A by the palette product, each combination asked of the recursion,
+    in canonical order: the reference for the stage-by-stage table."""
+    points = it.points_of(a)
+    choices = [[None] + it.entry_palette(x, widened) for x in points]
+    combos = (
+        Condition(tuple((x, e) for x, e in zip(points, combo) if e is not None))
+        for combo in itertools.product(*choices)
+    )
+    return sorted((p for p in combos if it.member_p(a, p)), key=it._condition_key)
+
+
+class TestMemberTable:
+    @over_iterations
+    def test_table_matches_palette_product(self, make):
+        """The table equals the filtered palette product on every subset,
+        widened and not; the single-condition queries of the reference build
+        no table."""
+        it, ref = make(), make()
+        for a in all_subsets(it.template.points):
+            for widened in (False, True):
+                assert it.members(a, widened) == _palette_members(ref, a, widened), (sorted(a), widened)
+        assert not ref._memo.get(SimpleIteration._member_table)
+
+    @over_iterations
+    def test_recorded_contexts_match_recursion(self, make, monkeypatch):
+        """Every context tuple the table records is the one the recursion
+        gives on an iteration that built no table."""
+        it, fresh = make(), make()
+        recorded = []
+        record = SimpleIteration.entry_contexts.record
+
+        def spy(owner, args, answer):
+            recorded.append((args, answer))
+            record(owner, args, answer)
+
+        monkeypatch.setattr(SimpleIteration.entry_contexts, "record", spy)
+        for a in all_subsets(it.template.points):
+            for widened in (False, True):
+                it.members(a, widened)
+        assert recorded
+        for (a, p), contexts in recorded:
+            assert contexts == SimpleIteration.entry_contexts.__wrapped__(fresh, a, p), (sorted(a), str(p))
+            assert it.entry_contexts(a, p) == contexts
+
+    @over_iterations
+    def test_queries_before_the_table(self, make):
+        """Answers asked of the recursion before a table is built leave the
+        table's lists, and the answers, as they are."""
+        it, ref = make(), make()
+        subsets = all_subsets(it.template.points)
+        asked = {}
+        for a in reversed(subsets):
+            for widened in (False, True):
+                for p in ref.members(a, widened)[1::2]:
+                    asked[a, p] = (it.member_pstar(a, p), it.entry_contexts(a, p))
+        for a in subsets:
+            for widened in (False, True):
+                assert it.members(a, widened) == ref.members(a, widened)
+        for (a, p), answers in asked.items():
+            assert (it.member_pstar(a, p), it.entry_contexts(a, p)) == answers
+            assert answers == (ref.member_pstar(a, p), ref.entry_contexts(a, p))
+
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_over_the_cap_does_no_work(self, widened):
+        """Over the cap, members raises before it tabulates anything: no
+        table and no recorded context is left in the memo."""
+        it = encode_fsi([fsi_stage_b(cohen(1, 2))] * 3)
+        it.max_conditions = 4**3 - 1
+        with pytest.raises(ResourceCapExceeded):
+            it.members(it.template.all_points(), widened)
+        assert not it._memo.get(SimpleIteration._member_table)
+        assert not it._memo.get(SimpleIteration.entry_contexts)
+        it.max_conditions = 4**3
+        assert len(it.members(it.template.all_points(), widened)) == 4**3
 
 
 class TestOrderMatrix:
