@@ -2,10 +2,11 @@
 
     python3 scripts/ladder.py --out BENCH.json [--label NAME] [--root DIR] [--max-k 6]
 
-The rungs are the shipped workdocs i1, fsi2_cc and fsi2_cohen_c, then
-finite support iterations of k cohen(1,2) stages with all six checks, for
-k = 2 .. --max-k (7 on request), made by `perfbench/inputs.fsi_doc` with
-seed 7.  Each rung runs `python -m finforce.cli verify` from the checkout
+The rungs are the shipped workdocs i1, fsi2_cc, fsi2_cohen_c, fsi3 and
+case2 (the one rung whose synthesis delegates: on some subsets A the past
+of max(A) lies outside its family), then finite support iterations of k
+cohen(1,2) stages with all six checks, for k = 2 .. --max-k (7 on
+request), made by `perfbench/inputs.fsi_doc` with seed 7.  Each rung runs `python -m finforce.cli verify` from the checkout
 at --root (default: this repository) in a fresh child, under a 4 GiB
 address-space limit set on the child only.
 Per rung the helper records the exit code, the wall time, the child's
@@ -34,7 +35,7 @@ sys.path.insert(0, os.path.join(REPO, "perfbench"))
 
 import inputs  # noqa: E402
 
-SHIPPED = ["i1", "fsi2_cc", "fsi2_cohen_c"]
+SHIPPED = ["i1", "fsi2_cc", "fsi2_cohen_c", "fsi3", "case2"]
 SEED = 7
 LIMIT_GIB = 4  # a failed allocation, not the host's memory, ends a rung
 

@@ -77,7 +77,7 @@ from .codes import (
     print_code,
     print_fcode,
 )
-from .synth import encode_fsi, synth_E, synth_F
+from .synth import synth_E, synth_F
 from .verify import Report, run_checks
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """Shipped fixtures: the three-point iteration exercising all coordinate
 kinds, finite-support-iteration fixtures, and the case-two template.
 
-``i1``, ``fsi2_cohen_cohen`` and ``fsi2_cohen_c`` parse the shipped
-workdocs ``i1.json``, ``fsi2_cc.json`` and ``fsi2_cohen_c.json``, so the
-tests run on the same parser path as ``finforce verify``.  ``fsi3_cohen``
-and ``case2_fixture`` have no workdoc and are built here.
+Each fixture parses a shipped workdoc (``i1.json``, ``fsi2_cc.json``,
+``fsi2_cohen_c.json``, ``fsi3.json``, ``case2.json``), so the tests run on
+the same parser path as ``finforce verify``.
 
 The headline fixture ``i1`` has a Cohen coordinate (B), a three-ordinal
 small-poset coordinate (C) whose name is constant, and an
@@ -19,17 +18,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .iteration import (
-    Condition,
-    IterandAssignment,
-    SimpleIteration,
-    SmallPosetSpec,
-    const_name,
-    make_condition,
-)
-from .models import cohen
+from .iteration import Condition, SimpleIteration, make_condition
 from .names import RealName
-from .synth import encode_fsi, fsi_stage_b
 from .workdoc import WorkbenchDoc, parse_doc
 
 
@@ -39,6 +29,11 @@ def _shipped(name: str) -> dict:
 
 def _parse(raw: dict) -> WorkbenchDoc:
     return parse_doc(json.dumps(raw))
+
+
+def _iteration_and_names(name: str) -> tuple[SimpleIteration, dict[str, RealName]]:
+    doc = _parse(_shipped(name))
+    return doc.iteration, doc.names
 
 
 def _labelled(names, label: str):
@@ -85,30 +80,18 @@ def i1_bad_subposet() -> I1:
 def fsi2_cohen_cohen() -> tuple[SimpleIteration, dict[str, RealName]]:
     """Two Cohen stages; ``stage1_bit`` reads the first bit of the second
     stage's generic real."""
-    doc = _parse(_shipped("fsi2_cc.json"))
-    return doc.iteration, doc.names
+    return _iteration_and_names("fsi2_cc.json")
 
 
 def fsi2_cohen_c() -> tuple[SimpleIteration, dict[str, RealName]]:
     """A Cohen stage followed by a C stage whose poset name depends on the
     Cohen branch: the V-shaped poset under 0, the three-chain under 1."""
-    doc = _parse(_shipped("fsi2_cohen_c.json"))
-    return doc.iteration, doc.names
+    return _iteration_and_names("fsi2_cohen_c.json")
 
 
 def fsi3_cohen() -> tuple[SimpleIteration, dict[str, RealName]]:
     """Three short Cohen stages, used by the history-invariance sweep."""
-    c12 = cohen(1, 2)
-    it = encode_fsi([fsi_stage_b(c12), fsi_stage_b(c12), fsi_stage_b(c12)])
-    rank = it.template.order.rank
-    m0 = make_condition(rank, {"2": const_name((0,))})
-    m1 = make_condition(rank, {"2": const_name((1,))})
-    last_bit = RealName(antichains=((m0, m1),), values=((0, 1),))
-    mix0 = make_condition(rank, {"0": const_name((0,)), "2": const_name((0,))})
-    mix1 = make_condition(rank, {"0": const_name((0,)), "2": const_name((1,))})
-    mix2 = make_condition(rank, {"0": const_name((1,))})
-    ends = RealName(antichains=((mix0, mix1, mix2),), values=((0, 1, 2),))
-    return it, {"last_bit": last_bit, "ends": ends}
+    return _iteration_and_names("fsi3.json")
 
 
 def case2_fixture() -> tuple[SimpleIteration, dict[str, RealName]]:
@@ -117,34 +100,4 @@ def case2_fixture() -> tuple[SimpleIteration, dict[str, RealName]]:
     code synthesis must delegate (or, for full-domain conditions, fall back
     to the factorization step).  The family is still union-, intersection-
     and trace-closed, and rich enough that induced filters stay directed."""
-    from .templates import LinearOrder, validate_template
-
-    order = LinearOrder(("0", "1", "2", "3"))
-    families = {
-        "0": [[]],
-        "1": [[], ["0"]],
-        "2": [[], ["0"], ["1"], ["0", "1"]],
-        "3": [[], ["0"], ["1"], ["0", "1"], ["1", "2"], ["0", "1", "2"]],
-    }
-    template = validate_template(order, families)
-    if isinstance(template, list):
-        raise AssertionError(f"case2 template invalid: {template}")
-    c12 = cohen(1, 2)
-    assignments = {
-        "0": IterandAssignment(kind="B", model=c12),
-        "1": IterandAssignment(kind="B", model=c12),
-        "2": IterandAssignment(kind="B", model=c12),
-        "3": IterandAssignment(
-            kind="C", gamma=2, support=frozenset({"1"}),
-            qname=const_name(SmallPosetSpec(size=2, leq_pairs=((1, 0),)), label="Q3"),
-        ),
-    }
-    it = SimpleIteration(template, assignments)
-    rank = template.order.rank
-    u0 = make_condition(rank, {"0": const_name((0,))})
-    u1 = make_condition(rank, {"0": const_name((1,))})
-    first = RealName(antichains=((u0, u1),), values=((3, 4),))
-    m0 = make_condition(rank, {"2": const_name((0,)), "3": 1})
-    m1 = make_condition(rank, {"2": const_name((1,)), "3": 1})
-    deep = RealName(antichains=((m0, m1),), values=((0, 1),))
-    return it, {"first_bit": first, "deep": deep}
+    return _iteration_and_names("case2.json")

@@ -89,40 +89,24 @@ class ResourceCapExceeded(IterationError):
         super().__init__(f"{what} would need {size} > cap {cap}")
 
 
-class _Trivial:
-    """The literal trivial entry (top condition / ordinal 0 stand-in)."""
+class _Sentinel:
+    """A named singleton value that unpickles as the module global of its
+    name, so identity tests survive a round trip."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "TRIV"
+        return self._name
+
+    def __reduce__(self):
+        return self._name
 
 
-TRIV = _Trivial()
+TRIV = _Sentinel("TRIV")  # the literal trivial entry (top condition / ordinal 0 stand-in)
+DUMMY = _Sentinel("DUMMY")  # generic value at a deactivated coordinate
 
-
-class _Dummy:
-    """Generic value at a deactivated coordinate."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DUMMY"
-
-
-DUMMY = _Dummy()
-
-Entry = Any  # int | _Trivial | DecisionTableName
+Entry = Any  # int | TRIV | DecisionTableName
 
 
 def _hash_once(cls):
@@ -213,20 +197,6 @@ class DecisionTableName:
         return self.table[self.antichain.index(member)]
 
 
-def _stem_decided(e: DecisionTableName) -> bool:
-    """All table values share one stem and one finite-part size (values not
-    of stem/finite-part shape must simply be equal)."""
-    values = e.table
-    if all(
-        isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], frozenset)
-        for v in values
-    ):
-        stems = {v[0] for v in values}
-        sizes = {len(v[1]) for v in values}
-        return len(stems) == 1 and len(sizes) == 1
-    return len(set(values)) == 1
-
-
 def const_name(value: Any, label: str = "") -> DecisionTableName:
     return DecisionTableName(
         base=frozenset(),
@@ -283,10 +253,7 @@ class SubposetSpec:
 
 @dataclass(frozen=True)
 class IterandAssignment:
-    """Per-coordinate data.  ``stem_decided``, off by default, restricts
-    entry names at eventually-different-style coordinates to those whose
-    table values all share one stem and one slalom size, the optional
-    normalization of the dense subcollection."""
+    """Per-coordinate data."""
 
     kind: str  # 'B' | 'R' | 'C'
     model: BorelPosetModel | None = None
@@ -296,7 +263,6 @@ class IterandAssignment:
     extra_entries: tuple[DecisionTableName, ...] = ()
     widened_entries: tuple[DecisionTableName, ...] = ()
     include_constants: bool = True
-    stem_decided: bool = False
 
     def __post_init__(self):
         if self.kind not in ("B", "R", "C"):
@@ -451,8 +417,6 @@ class SimpleIteration:
         if e is TRIV:
             return True
         if not isinstance(e, DecisionTableName):
-            return False
-        if asg.stem_decided and not _stem_decided(e):
             return False
         if asg.kind == "B":
             return e.base <= a2 and self._table_entry_valid(x, e)

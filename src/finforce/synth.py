@@ -12,28 +12,25 @@ the smaller sets they recurse to, so equal sub-codes are one object; codes
 built under an explicit delegation chooser are rebuilt throughout.
 
 `synth_F` assembles, per output coordinate of a name, the member codes of
-its antichain with their decided values.  `encode_fsi` realizes the
-finite-support-iteration pathway: full-powerset template, B stages used
-outright, C stages supported on their whole past.
+its antichain with their decided values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .codes import TRUE, AndNode, BitAtom, EAtom, FCode
 from .iteration import (
     TRIV,
     Condition,
     DecisionTableName,
-    IterandAssignment,
     MembershipError,
     SimpleIteration,
 )
 from .models import BorelPosetModel
 from .names import RealName
 from .posets import memoized
-from .templates import Point, Subset, full_powerset_template, trace_family
+from .templates import Point, Subset, trace_family
 
 
 Chooser = Callable[[Subset, Condition, list[Subset]], Subset]
@@ -133,60 +130,14 @@ def entry_fcode(it: SimpleIteration, x: Point, entry: DecisionTableName) -> FCod
     return FCode(target="value", coords=(table,), default=model.poset.top)
 
 
-def synth_F(
-    it: SimpleIteration,
-    a: Subset,
-    name: RealName,
-    chooser: Chooser | None = None,
-) -> FCode:
+def synth_F(it: SimpleIteration, a: Subset, name: RealName) -> FCode:
     """The evaluation function of a name: per coordinate, the antichain's
     member codes paired with the decided values; 0 outside the domain."""
     coords = []
     for antichain, values in zip(name.antichains, name.values):
         table = []
         for member, value in zip(antichain, values):
-            table.append((synth_E(it, a, member, chooser), int(value)))
+            table.append((synth_E(it, a, member), int(value)))
         coords.append(tuple(table))
     return FCode(target="real", coords=tuple(coords), default=0)
 
-
-# ---------------------------------------------------------------------------
-# Finite support iterations
-
-
-def fsi_stage_b(model: BorelPosetModel, extra_entries: Iterable[DecisionTableName] = ()) -> dict:
-    return {"kind": "B", "model": model, "extra_entries": tuple(extra_entries)}
-
-
-def fsi_stage_c(gamma: int, qname: DecisionTableName,
-                widened_entries: Iterable[DecisionTableName] = ()) -> dict:
-    return {"kind": "C", "gamma": gamma, "qname": qname,
-            "widened_entries": tuple(widened_entries)}
-
-
-def encode_fsi(stages: Sequence[dict], max_conditions: int = 100_000) -> SimpleIteration:
-    """A finite support iteration as a template iteration: full-powerset
-    families, stage kinds B or C, C stages supported on their whole past."""
-    points = tuple(str(i) for i in range(len(stages)))
-    template = full_powerset_template(points)
-    assignments = {}
-    for i, (x, stage) in enumerate(zip(points, stages)):
-        kind = stage["kind"]
-        past = frozenset(points[:i])
-        if kind == "B":
-            assignments[x] = IterandAssignment(
-                kind="B",
-                model=stage["model"],
-                extra_entries=tuple(stage.get("extra_entries", ())),
-            )
-        elif kind == "C":
-            assignments[x] = IterandAssignment(
-                kind="C",
-                gamma=stage["gamma"],
-                support=past,
-                qname=stage["qname"],
-                widened_entries=tuple(stage.get("widened_entries", ())),
-            )
-        else:
-            raise ValueError(f"finite support stages must be B or C, got {kind!r}")
-    return SimpleIteration(template, assignments, max_conditions=max_conditions)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from graphlib import CycleError, TopologicalSorter
 from typing import Any
 
 from .iteration import (
@@ -209,6 +210,18 @@ def _parse_small_poset(value: Any, path: str) -> SmallPosetSpec:
     _expect(isinstance(blocks, list) and all(isinstance(b, list) and all(map(ordinal, b))
                                              for b in blocks),
             f"{path}.blocks", f"blocks must be lists of ordinals below {size}")
+    # the order that leq generates, with every ordinal below the top 0, is
+    # a partial order exactly when its strict part has no cycle; this is
+    # checked without building the poset, which every document load would pay
+    graph = {v: {0} for v in range(1, size)}
+    for a, b in leq:
+        if a != b:
+            graph.setdefault(a, set()).add(b)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise DocError(path, f"leq closes the cycle {exc.args[1]}, so it is not a partial order "
+                             "with top 0") from None
     return SmallPosetSpec(size=size, leq_pairs=tuple(tuple(pair) for pair in leq))
 
 
@@ -245,6 +258,7 @@ def parse_doc(text: str) -> WorkbenchDoc:
     points = tspec.get("points")
     _expect(isinstance(points, list) and points, "template.points", "points must be a nonempty list")
     _expect(all(isinstance(p, str) for p in points), "template.points", "points must be strings")
+    _expect(len(set(points)) == len(points), "template.points", "points must be distinct")
     order = LinearOrder(tuple(points))
     rank = order.rank
     families_raw = _shaped(tspec.get("families", {}), dict, "template.families")
@@ -332,6 +346,10 @@ def parse_doc(text: str) -> WorkbenchDoc:
                 )
                 for v in qname.table:
                     _expect(v.size == gamma, f"{path}.poset", "poset size must equal gamma")
+                for w in widened:
+                    for i, v in enumerate(w.table):
+                        _expect(v < gamma, f"widened_entries.{w.label}.table[{i}]",
+                                f"widened value {v} is not below the gamma {gamma} of {x}")
                 assignments[x] = IterandAssignment(
                     kind="C", gamma=gamma, support=support, qname=qname,
                     widened_entries=widened,

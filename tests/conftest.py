@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
 from finforce import fixtures
+from finforce.templates import SUBSETS, lattice
+from finforce.workdoc import parse_doc
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +45,21 @@ def cohen22(i1):
 @pytest.fixture(scope="session")
 def ed22(i1):
     return i1.ed22
+
+
+@pytest.fixture(scope="session")
+def cohen_fsi():
+    """A factory: k -> a fresh finite support iteration of k cohen(1,2) B
+    stages with full-powerset families, parsed from its workdoc."""
+
+    def make(k: int):
+        points = [str(i) for i in range(k)]
+        families = {x: [sorted(a) for (a,) in lattice(points[:i], SUBSETS)] for i, x in enumerate(points)}
+        doc = {
+            "template": {"points": points, "families": families},
+            "models": {"S": {"builtin": "cohen", "length": 1, "alphabet": 2}},
+            "iteration": {x: {"kind": "B", "model": "S"} for x in points},
+        }
+        return parse_doc(json.dumps(doc)).iteration
+
+    return make

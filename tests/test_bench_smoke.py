@@ -69,7 +69,7 @@ def test_ladder_records_each_rung(tmp_path):
     data = json.loads(out.read_text())
     assert data["parent"] == {"rungs": {}}
     rungs = data["change"]["rungs"]
-    assert set(rungs) == {"i1", "fsi2_cc", "fsi2_cohen_c", "fsi_k2"}
+    assert set(rungs) == {"i1", "fsi2_cc", "fsi2_cohen_c", "fsi3", "case2", "fsi_k2"}
     for rung in rungs.values():
         assert rung["exit"] == 0 and rung["peak_rss_mb"] > 0
         assert all(c["passed"] and c["seconds"] >= 0 for c in rung["checks"].values())

@@ -13,8 +13,8 @@ import pytest
 import finforce
 from finforce import cli, verify
 from finforce.cli import main
-from finforce.iteration import IterationError
-from finforce.workdoc import load_doc, parse_doc
+from finforce.iteration import IterationError, SmallPosetSpec
+from finforce.workdoc import DocError, _parse_small_poset, load_doc, parse_doc
 
 
 def doc_path(name: str) -> str:
@@ -41,7 +41,8 @@ def i1_doc():
 
 
 class TestValidate:
-    @pytest.mark.parametrize("name", ["i1.json", "fsi2_cc.json", "fsi2_cohen_c.json"])
+    @pytest.mark.parametrize("name", ["i1.json", "fsi2_cc.json", "fsi2_cohen_c.json", "fsi3.json",
+                                      "case2.json"])
     def test_good_doc(self, capsys, name):
         assert main(["validate", "--doc", doc_path(name)]) == 0
         assert "ok" in capsys.readouterr().out
@@ -69,17 +70,52 @@ class TestValidate:
         ("leq", [["a", 0]], ".leq[0]"),
         ("blocks", 5, ".blocks"),
         ("leq", [[True, 0]], ".leq[0]"),
+        ("leq", [[1, 2], [2, 1]], ""),
+        ("leq", [[0, 1]], ""),
     ])
     def test_malformed_c_poset_value(self, tmp_path, capsys, key, value, where):
-        """A malformed poset value at a C coordinate is a parse error that
-        names its JSON path, not a traceback."""
+        """A malformed poset value at a C coordinate, or one whose leq pairs
+        are not a partial order with top 0, is a parse error that names its
+        JSON path, not a traceback, for every command."""
         with open(doc_path("fsi2_cohen_c.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["iteration"]["1"]["poset"]["table"][0]["value"][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        assert main(["validate", "--doc", str(bad)]) == 2
-        assert f"parse error: iteration.1.poset.table[0]{where}: " in capsys.readouterr().err
+        for command in (["validate"], ["verify"], ["synth", "--cond", '{"1": 1}']):
+            assert main([command[0], "--doc", str(bad), *command[1:]]) == 2
+            assert f"parse error: iteration.1.poset.table[0]{where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_poset_value_parses_exactly_when_it_builds(self, size):
+        """The parser's cycle test accepts a leq list exactly when the poset
+        it declares builds: every list of pairs over 1 to 3 ordinals."""
+        pairs = [(a, b) for a in range(size) for b in range(size)]
+        for mask in range(2 ** len(pairs)):
+            leq = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+            try:
+                _parse_small_poset({"size": size, "leq": [list(pair) for pair in leq]}, "value")
+                parses = True
+            except DocError:
+                parses = False
+            try:
+                SmallPosetSpec(size, tuple(leq)).build()
+                builds = True
+            except ValueError:
+                builds = False
+            assert parses == builds, leq
+
+    @pytest.mark.parametrize("value", [3, 7])
+    def test_widened_value_past_gamma(self, tmp_path, capsys, value):
+        """A widened entry valued at or past the gamma of the C point that
+        lists it is a parse error at the value's path."""
+        bad = edited_doc(tmp_path, "i1.json", ("widened_entries", "w1", "table", 1, "value"), value)
+        for command in ("validate", "verify"):
+            assert main([command, "--doc", bad]) == 2
+            assert capsys.readouterr().err == (
+                f"parse error: widened_entries.w1.table[1]: widened value {value} is not below "
+                "the gamma 3 of b\n"
+            )
 
     @pytest.mark.parametrize("name, keys, value, message", [
         pytest.param("fsi2_cc.json", ("models", "S", "length"), True,
@@ -126,6 +162,8 @@ class TestValidate:
         pytest.param("fsi2_cc.json", ("widened_entries",), [],
                      "widened_entries: must be a JSON object", id="widened-entries"),
         pytest.param("fsi2_cc.json", ("names",), [], "names: must be a JSON object", id="names"),
+        pytest.param("fsi2_cc.json", ("template", "points"), ["0", "0"],
+                     "template.points: points must be distinct", id="duplicate-points"),
         pytest.param("fsi2_cc.json", ("template", "families"), [],
                      "template.families: must be a JSON object", id="families"),
         pytest.param("fsi2_cc.json", ("iteration", "0"), "B",
@@ -256,6 +294,22 @@ class TestSynth:
         code = parse_code(line, doc.point_models)
         assert line == str(code)
 
+    def test_case2_reaches_delegation(self, capsys, monkeypatch):
+        """On the case-two document, synth prints a name's evaluation
+        function without delegating: it works over the whole point set,
+        whose past at each maximum is in the family.  verify reaches the
+        delegation on the subsets whose past is not, such as {0, 2, 3}."""
+        from finforce import synth
+
+        asked = []
+        real = synth.case2_contexts
+        monkeypatch.setattr(synth, "case2_contexts", lambda it, a, p: asked.append(a) or real(it, a, p))
+        assert main(["synth", "--doc", doc_path("case2.json"), "--name", "deep"]) == 0
+        assert capsys.readouterr().out.startswith("(fcode real (default 0)")
+        assert asked == []
+        assert main(["verify", "--doc", doc_path("case2.json")]) == 0
+        assert frozenset({"0", "2", "3"}) in asked
+
     def test_table_name_missing_a_generic(self, tmp_path, capsys):
         """synth does not validate its document, so an entry table cut to
         one row (t1 at c, read on the generics of a) is met while deciding
@@ -290,6 +344,17 @@ class TestVerify:
         assert all(not r["failures"] for r in data)
         checks = [r["check"] for r in data]
         assert "main_theorem" in checks
+
+    @pytest.mark.parametrize("name, checked", [
+        ("fsi3.json", [512, 378, 220, 8, 27, 125]),
+        ("case2.json", [1536, 1666, 1066, 16, 81, 625]),
+    ])
+    def test_shipped_doc_passes(self, tmp_path, capsys, name, checked):
+        report = tmp_path / "report.json"
+        assert main(["verify", "--doc", doc_path(name), "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert [r["checked"] for r in data] == checked
+        assert not any(r["failures"] or r["sampled"] for r in data)
 
     def test_text_format(self, tmp_path):
         report = tmp_path / "report.txt"
@@ -424,7 +489,7 @@ class TestModelSizeCap:
 
 class TestDocRoundTrip:
     @pytest.mark.parametrize(
-        "name", ["i1.json", "fsi2_cc.json", "fsi2_cohen_c.json"]
+        "name", ["i1.json", "fsi2_cc.json", "fsi2_cohen_c.json", "fsi3.json", "case2.json"]
     )
     def test_parse_print_parse_identity(self, name):
         doc = load_doc(doc_path(name))

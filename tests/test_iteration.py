@@ -19,18 +19,22 @@ from finforce.iteration import (
     Condition,
     DecisionTableName,
     GenericSequence,
+    IterandAssignment,
     IterationError,
     NonGenericFilterError,
     NotAFilterError,
     ResourceCapExceeded,
     SimpleIteration,
+    SmallPosetSpec,
     const_name,
     interpret_name,
+    make_condition,
     realize_filter,
 )
 from finforce.models import cohen
+from finforce.names import RealName
 from finforce.posets import unpack_rows
-from finforce.synth import encode_fsi, fsi_stage_b, fsi_stage_c
+from finforce.templates import LinearOrder, full_powerset_template, validate_template
 from finforce.verify import verify_density, verify_main_theorem
 from finforce.workdoc import load_doc
 
@@ -217,8 +221,9 @@ class TestInterpretName:
         """A table name whose antichain reads a point outside its base is an
         IterationError naming the label and the points, not a KeyError."""
         it, _ = fixtures.fsi2_cohen_c()
-        qname = dataclasses.replace(it.assignments["1"].qname, base=frozenset())
-        bad = encode_fsi([fsi_stage_b(it.assignments["0"].model), fsi_stage_c(3, qname)])
+        c = it.assignments["1"]
+        qname = dataclasses.replace(c.qname, base=frozenset())
+        bad = SimpleIteration(it.template, {**it.assignments, "1": dataclasses.replace(c, qname=qname)})
         with pytest.raises(IterationError, match=r"table name Q_1 reads \['0'\] outside its base \[\]"):
             verify_main_theorem(bad)
 
@@ -365,7 +370,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("make", [
         lambda: fixtures.fsi2_cohen_cohen()[0],
-        lambda: encode_fsi([fsi_stage_b(cohen(1, 2))] * 3),
+        lambda: fixtures.fsi3_cohen()[0],
     ], ids=["fsi2_cc", "fsi3"])
     def test_no_widened_entries_enumerate_nothing(self, make):
         """With no widened entry at any point, P|A is P*|A on every subset,
@@ -487,7 +492,7 @@ class TestMemberTable:
     def test_over_the_cap_does_no_work(self, widened):
         """Over the cap, members raises before it tabulates anything: no
         table and no recorded context is left in the memo."""
-        it = encode_fsi([fsi_stage_b(cohen(1, 2))] * 3)
+        it, _ = fixtures.fsi3_cohen()
         it.max_conditions = 4**3 - 1
         with pytest.raises(ResourceCapExceeded):
             it.members(it.template.all_points(), widened)
@@ -508,9 +513,9 @@ class TestOrderMatrix:
                 got = unpack_rows(it._order_matrix(a, elems), len(elems)).T
                 assert (got == expect).all(), (sorted(a), widened, np.argwhere(got != expect)[:4])
 
-    def test_fsi_closed_form(self):
+    def test_fsi_closed_form(self, cohen_fsi):
         k = 5
-        it = encode_fsi([{"kind": "B", "model": cohen(1, 2)}] * k)
+        it = cohen_fsi(k)
         poset = it.build_poset(it.template.all_points())
         assert len(poset.elements) == 4**k
         assert int(poset.leq_matrix.sum()) == 9**k
@@ -560,10 +565,10 @@ class TestFilterTable:
 
 def _hashed_objects():
     """Equal objects built afresh on every call: a condition carrying nested
-    table names, a table name and a generic sequence."""
+    table names and TRIV, a table name and a generic sequence."""
     fx = fixtures.i1()
     it = fx.iteration
-    cond = fx.cond({"a": const_name((0, 1)), "b": 2})
+    cond = fx.cond({"a": const_name((0, 1)), "b": 2, "c": TRIV})
     zbar = it.enumerate_generics(it.template.all_points())[5]
     return cond, fx.qc, GenericSequence(tuple(zbar.entries))
 
@@ -579,7 +584,7 @@ class TestCachedHashes:
 
     def test_hash_stays_out_of_pickled_state(self):
         cond, _, _ = objs = _hashed_objects()
-        assert cond.domain == {"a", "b"} and "domain" in vars(cond)
+        assert cond.domain == {"a", "b", "c"} and "domain" in vars(cond)
         for obj in objs:
             hash(obj)
             assert "_hash" in vars(obj)
@@ -629,66 +634,62 @@ class TestEmbeddings:
         assert i1.iteration.check_complete_embedding(a, a).ok
 
 
-class TestStemDecidedNormalization:
-    """The optional dense-subcollection refinement: entry names at an
-    eventually-different coordinate must decide the stem and the size of the
-    finite part."""
+def _const_cond(it, bits: dict, **ordinals):
+    """The condition with constant entries (b,) at the points of bits and
+    the given ordinals."""
+    return make_condition(it.rank, {**{x: const_name((b,)) for x, b in bits.items()}, **ordinals})
 
-    def _fixture(self, stem_decided):
-        from finforce.iteration import (
-            DecisionTableName, IterandAssignment, SimpleIteration,
-            SubposetSpec, make_condition,
-        )
-        from finforce.models import cohen, ed
-        from finforce.templates import full_powerset_template
 
-        template = full_powerset_template(("a", "c"))
-        c22, e22 = cohen(2, 2), ed(2, 2)
-        rank = template.order.rank
-        p0 = make_condition(rank, {"a": const_name((0,))})
-        p1 = make_condition(rank, {"a": const_name((1,))})
-        full = SubposetSpec(
-            elements=frozenset(e22.poset.elements), z_space=e22.generic_space
-        )
-        f11 = frozenset({(1, 1)})
-        f00 = frozenset({(0, 0)})
-        decided = DecisionTableName(
-            base=frozenset({"a"}), antichain=(p0, p1),
-            table=(((0,), f11), ((0,), f00)), label="decided",
-        )
-        undecided = DecisionTableName(
-            base=frozenset({"a"}), antichain=(p0, p1),
-            table=(((0,), f11), ((1,), f00)), label="undecided",
-        )
-        assignments = {
-            "a": IterandAssignment(kind="B", model=c22),
-            "c": IterandAssignment(
-                kind="R", model=e22, support=frozenset({"a"}),
-                qname=DecisionTableName(
-                    base=frozenset({"a"}), antichain=(p0, p1),
-                    table=(full, full), label="Q",
-                ),
-                extra_entries=(decided, undecided),
-                include_constants=False,
-                stem_decided=stem_decided,
-            ),
-        }
-        it = SimpleIteration(template, assignments)
-        return it, decided, undecided
+def _hand_built_fsi3():
+    """fsi3.json's iteration and names, built without the parser."""
+    c12 = cohen(1, 2)
+    template = full_powerset_template(("0", "1", "2"))
+    it = SimpleIteration(template, {x: IterandAssignment(kind="B", model=c12) for x in template.points})
+    last_bit = RealName(((_const_cond(it, {"2": 0}), _const_cond(it, {"2": 1})),), ((0, 1),))
+    ends = RealName(((_const_cond(it, {"0": 0, "2": 0}), _const_cond(it, {"0": 0, "2": 1}),
+                      _const_cond(it, {"0": 1})),), ((0, 1, 2),))
+    return it, {"last_bit": last_bit, "ends": ends}
 
-    def test_flag_off_admits_both(self, i1):
-        it, decided, undecided = self._fixture(stem_decided=False)
-        full = it.template.all_points()
-        for entry in (decided, undecided):
-            p = it.members(full)
-            from finforce.iteration import Condition
-            cond = Condition((("c", entry),))
-            assert it.member_pstar(full, cond)
 
-    def test_flag_on_filters_undecided(self, i1):
-        from finforce.iteration import Condition
+def _hand_built_case2():
+    """case2.json's iteration and names, built without the parser."""
+    c12 = cohen(1, 2)
+    template = validate_template(LinearOrder(("0", "1", "2", "3")), {
+        "0": [[]],
+        "1": [[], ["0"]],
+        "2": [[], ["0"], ["1"], ["0", "1"]],
+        "3": [[], ["0"], ["1"], ["0", "1"], ["1", "2"], ["0", "1", "2"]],
+    })
+    q3 = const_name(SmallPosetSpec(size=2, leq_pairs=((1, 0),)))
+    it = SimpleIteration(template, {
+        **{x: IterandAssignment(kind="B", model=c12) for x in ("0", "1", "2")},
+        "3": IterandAssignment(kind="C", gamma=2, support=frozenset({"1"}), qname=q3),
+    })
+    first = RealName(((_const_cond(it, {"0": 0}), _const_cond(it, {"0": 1})),), ((3, 4),))
+    deep = RealName(((_const_cond(it, {"2": 0}, **{"3": 1}), _const_cond(it, {"2": 1}, **{"3": 1})),),
+                    ((0, 1),))
+    return it, {"first_bit": first, "deep": deep}
 
-        it, decided, undecided = self._fixture(stem_decided=True)
-        full = it.template.all_points()
-        assert it.member_pstar(full, Condition((("c", decided),)))
-        assert not it.member_pstar(full, Condition((("c", undecided),)))
+
+class TestShippedFixtures:
+    @pytest.mark.parametrize("parsed, hand_built", [
+        (fixtures.fsi3_cohen, _hand_built_fsi3),
+        (fixtures.case2_fixture, _hand_built_case2),
+    ], ids=["fsi3", "case2"])
+    def test_parsed_as_built_by_hand(self, parsed, hand_built):
+        """The workdoc gives the iteration built from the objects directly:
+        the same template, the same assignments apart from model identity,
+        the same names, and the same members on every subset."""
+        (it, names), (ref, ref_names) = parsed(), hand_built()
+        assert names == ref_names
+        assert it.template.points == ref.template.points
+        assert it.template.families == ref.template.families
+        for x, asg in it.assignments.items():
+            other = ref.assignments[x]
+            assert dataclasses.replace(asg, model=other.model) == other
+            assert (asg.model is None) == (other.model is None)
+            if asg.model is not None:
+                assert asg.model.poset.elements == other.model.poset.elements
+        for a in all_subsets(it.template.points):
+            for widened in (False, True):
+                assert it.members(a, widened) == ref.members(a, widened)

@@ -24,11 +24,10 @@ from finforce.history import (
     restrict_tuple,
     tuple_space,
 )
-from finforce.iteration import EMPTY_CONDITION, const_name, realize_filter
-from finforce.models import cohen
+from finforce.iteration import EMPTY_CONDITION, SimpleIteration, const_name, realize_filter
 from finforce.names import RealName
-from finforce.synth import case2_contexts, encode_fsi, fsi_stage_b, synth_E, synth_F
-from finforce.templates import SUBSETS, lattice
+from finforce.synth import case2_contexts, synth_E, synth_F
+from finforce.templates import SUBSETS, full_powerset_template, lattice
 
 
 def node_objects(code, into: dict, tables: bool = True) -> dict:
@@ -134,14 +133,14 @@ class TestCase2:
 
 
 class TestSharing:
-    def test_canonical_codes_share_sub_codes(self):
+    def test_canonical_codes_share_sub_codes(self, cohen_fsi):
         """The canonical codes of P*|L at k = 5 reuse the memoized codes of
         their restrictions: 11,264 tree nodes in 1,706 objects (6,401 when
         each restriction's code was rebuilt).  Sharing changes no code: each
         prints as the unshared construction does, which an explicit chooser
         still performs (FSI templates never reach case 2, so the chooser is
         never asked)."""
-        it = encode_fsi([fsi_stage_b(cohen(1, 2))] * 5)
+        it = cohen_fsi(5)
         full = it.template.all_points()
         members = it.members(full)
         nodes: dict = {}
@@ -213,7 +212,7 @@ class TestSynthF:
 
 class TestEncodeFsi:
     def test_empty_iteration(self):
-        it = encode_fsi([])
+        it = SimpleIteration(full_powerset_template(()), {})
         assert it.template.points == ()
         name = RealName(antichains=((EMPTY_CONDITION,),), values=((3,),))
         f = synth_F(it, frozenset(), name)

@@ -6,8 +6,6 @@ import json
 import pytest
 
 from finforce import posets
-from finforce.models import cohen
-from finforce.synth import encode_fsi, fsi_stage_b
 from finforce.templates import SUBSETS, lattice
 from finforce.verify import (
     CHECKS,
@@ -99,14 +97,10 @@ class TestCheckRegistry:
         assert [r.check for r in reports] == ["density"]
 
 
-def cohen_fsi(k):
-    return encode_fsi([fsi_stage_b(cohen(1, 2))] * k)
-
-
 class TestSharedWork:
     """Each result over the subset lattice is computed once per iteration."""
 
-    def test_each_nested_pair_embedded_once(self, monkeypatch):
+    def test_each_nested_pair_embedded_once(self, monkeypatch, cohen_fsi):
         uncached = []
 
         def spy(sub, sup):
@@ -159,7 +153,7 @@ class TestSharedWork:
         assert skipped >= len([q for small in subsets for q in it.members(small)])
         assert calls == want
 
-    def test_main_theorem_projects_once_per_tuple_space(self, monkeypatch):
+    def test_main_theorem_projects_once_per_tuple_space(self, monkeypatch, cohen_fsi):
         """Each generic is projected once per distinct tuple space, and the
         induced filters come from one-entry memberships only."""
         import finforce.verify as verify_mod
@@ -182,7 +176,7 @@ class TestSharedWork:
         assert set(projected) == spaces
         assert decided and max(len(r.entries) for r in decided) == 1
 
-    def test_nice_and_correct_at_k5(self):
+    def test_nice_and_correct_at_k5(self, cohen_fsi):
         rep = verify_nice_and_correct(cohen_fsi(5))
         assert rep.passed, rep.to_json()
         assert rep.checked == 5 ** 5
