@@ -6,6 +6,12 @@ by its entries; at C coordinates only the ordinal actually used is kept
 (as the W-set), never the entry's own history.  Tuple spaces split a
 history into model-valued components and characteristic-function
 components restricted to the W-sets.
+
+Canonical histories are memoized per (A, p).  Over an A whose member
+table is built they are read in table order, each member from its
+restriction (the table's own object) and that restriction's history over
+the canonical context; a single condition and a forced context take the
+recursion.  Tuple spaces are memoized per history.
 """
 
 from __future__ import annotations
@@ -69,17 +75,41 @@ def history_of_condition(
 
     ``context_override`` forces the A'-choice at the top recursion step
     only; the invariance checks use it to confirm the choice is immaterial.
-    Without it the history is computed once per (A, p).
+    Without it the history is computed once per (A, p): over an A whose
+    member table is built, the first ask reads the whole table
+    (`_table_histories`).
     """
     if context_override is not None:
         return _history_of_condition(it, a, p, context_override)
-    return _canonical_history(it, a, p)
+    h = it._memo[_canonical_history].get((a, p))
+    if h is None:
+        if it.built_members(a) is not None:
+            _table_histories(it, a)
+        h = _canonical_history(it, a, p)
+    return h
 
 
 @memoized
 def _canonical_history(it: SimpleIteration, a: Subset, p: Condition) -> History:
     """The history of p over A under canonical A'-choices throughout."""
     return _history_of_condition(it, a, p, None)
+
+
+@memoized
+def _table_histories(it: SimpleIteration, a: Subset) -> None:
+    """Record the canonical history of every member of P*|A, in table
+    order.  A member r + (x, e) is read off its restriction r (`before`
+    returns the table's own object), r's history over the canonical context
+    A', and e and x (`_top_step`), with no membership check; the histories
+    of the restrictions come from `_canonical_history`, so reading one table
+    fills no other."""
+    memo = it._memo[_canonical_history]
+    for p in it.built_members(a):
+        if p.entries and (a, p) not in memo:
+            x, entry = p.entries[-1]
+            a2 = it.canonical_context(a, p)
+            h_rest = _canonical_history(it, a2, p.before(x, it.rank))
+            _canonical_history.record(it, (a, p), _top_step(it, a2, h_rest, x, entry))
 
 
 def _history_of_condition(
@@ -96,19 +126,19 @@ def _history_of_condition(
         a2 = context_override
     else:
         a2 = it.canonical_context(a, p)
-    rest = p.before(x, it.rank)
-    entry = p.get(x)
-    h_rest = history_of_condition(it, a2, rest)
-    kind = it.assignments[x].kind
-    if kind == "C":
-        h_entry = EMPTY_HISTORY
-    else:
-        h_entry = history_of_entry(it, a2, entry)
-    points = h_rest.points | h_entry.points | {x}
-    w = _merge_w(it.rank, h_rest.w, h_entry.w)
-    if kind == "C":
-        w = _merge_w(it.rank, w, ((x, frozenset({int(entry)})),))
-    return History(points, w)
+    h_rest = _canonical_history(it, a2, p.before(x, it.rank))
+    return _top_step(it, a2, h_rest, x, p.get(x))
+
+
+def _top_step(it: SimpleIteration, a2: Subset, h_rest: History, x: Point, entry: Entry) -> History:
+    """The history of r + (x, entry) chosen through the context A', from the
+    history h_rest of r over A'.  At a C point only the ordinal is kept, as
+    W_x; elsewhere the entry's own history over A' joins."""
+    if it.assignments[x].kind == "C":
+        return History(h_rest.points | {x}, _merge_w(it.rank, h_rest.w, ((x, frozenset({int(entry)})),)))
+    h_entry = history_of_entry(it, a2, entry)
+    w = _merge_w(it.rank, h_rest.w, h_entry.w) if h_entry.w else h_rest.w
+    return History(h_rest.points | h_entry.points | {x}, w)
 
 
 def history_of_entry(it: SimpleIteration, a: Subset, entry: Entry) -> History:
@@ -117,6 +147,11 @@ def history_of_entry(it: SimpleIteration, a: Subset, entry: Entry) -> History:
         return EMPTY_HISTORY
     if not isinstance(entry, DecisionTableName):
         raise TypeError(f"unexpected entry {entry!r}")
+    return _table_name_history(it, a, entry)
+
+
+@memoized
+def _table_name_history(it: SimpleIteration, a: Subset, entry: DecisionTableName) -> History:
     return _history_of_members(it, a, entry.antichain)
 
 
@@ -130,7 +165,7 @@ def _history_of_members(it: SimpleIteration, a: Subset, members: Iterable[Condit
     points: frozenset = frozenset()
     w: tuple = ()
     for q in members:
-        h = history_of_condition(it, a, q)
+        h = _canonical_history(it, a, q)
         points |= h.points
         w = _merge_w(it.rank, w, h.w)
     return History(points, w)
@@ -199,7 +234,9 @@ class TuplePoint:
         return "<" + "; ".join(parts) + ">"
 
 
+@memoized
 def tuple_space(it: SimpleIteration, h: History) -> TupleSpace:
+    """The tuple space of a history, one object per history."""
     s_points, c_points, spaces = [], [], []
     for x in it.points_of(h.points):
         if it.assignments[x].kind == "C":

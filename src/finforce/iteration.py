@@ -47,7 +47,6 @@ import dataclasses
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -109,11 +108,27 @@ DUMMY = _Sentinel("DUMMY")  # generic value at a deactivated coordinate
 Entry = Any  # int | TRIV | DecisionTableName
 
 
+class _cached:
+    """`functools.cached_property` without the lock Python 3.11 takes on
+    every miss: the first read stores the value in the instance dict, which
+    later reads find before this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _hash_once(cls):
     """Give a frozen dataclass a hash computed once per object, from the
     fields it compares; equality is unchanged.  String hashes differ from
-    process to process, so the cached hash, like every cached property, is
-    left out of the pickled state."""
+    process to process, so the cached hash, like every cached value and
+    every other attribute outside the fields, is left out of the pickled
+    state."""
     hashed = tuple(f.name for f in dataclasses.fields(cls) if (f.compare if f.hash is None else f.hash))
     stored = tuple(f.name for f in dataclasses.fields(cls))
 
@@ -126,8 +141,7 @@ def _hash_once(cls):
     def __getstate__(self) -> dict:
         return {n: self.__dict__[n] for n in stored}
 
-    cls._hash = cached_property(_hash)
-    cls._hash.__set_name__(cls, "_hash")
+    cls._hash = _cached(_hash)
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
@@ -136,11 +150,13 @@ def _hash_once(cls):
 @_hash_once
 @dataclass(frozen=True)
 class Condition:
-    """A finite partial map from points to entries, kept rank-sorted."""
+    """A finite partial map from points to entries, kept rank-sorted.  One
+    built by `extended` keeps the condition it extends as ``_rest``, its
+    restriction below its maximum."""
 
     entries: tuple[tuple[Point, Entry], ...]
 
-    @cached_property
+    @_cached
     def domain(self) -> frozenset:
         return frozenset(x for x, _ in self.entries)
 
@@ -154,9 +170,23 @@ class Condition:
         return not self.entries
 
     def before(self, x: Point, rank: Mapping[Point, int]) -> "Condition":
-        """The restriction to the strict past of x."""
+        """The restriction to the strict past of x: an object along the chain
+        of ``_rest`` pointers, else a new one."""
         r = rank[x]
-        return Condition(tuple((y, e) for y, e in self.entries if rank[y] < r))
+        p = self
+        while p.entries:
+            if "_rest" not in p.__dict__:
+                return Condition(tuple((y, e) for y, e in p.entries if rank[y] < r))
+            if rank[p.entries[-1][0]] < r:
+                return p
+            p = p._rest
+        return p
+
+    def extended(self, x: Point, e: Entry) -> "Condition":
+        """This condition with the entry e at x, a point above its domain."""
+        p = Condition(self.entries + ((x, e),))
+        p.__dict__["_rest"] = self
+        return p
 
     def __str__(self):
         if not self.entries:
@@ -627,6 +657,10 @@ class SimpleIteration:
             raise ResourceCapExceeded(f"conditions over {sorted(a)}", total, self.max_conditions)
         return list(self._member_table(a, widened))
 
+    def built_members(self, a: Subset) -> tuple[Condition, ...] | None:
+        """P*|A as `members` built it, or None before it is built."""
+        return self._memo[SimpleIteration._member_table].get((a, False))
+
     @memoized
     def _member_table(self, a: Subset, widened: bool) -> tuple[Condition, ...]:
         """`members` by recursion on depth.  A condition with maximum x is a
@@ -647,7 +681,7 @@ class SimpleIteration:
                         for e in valid:
                             contexts[r, e].append(a2)
             for (r, e), found in contexts.items():
-                p = Condition(r.entries + ((x, e),))
+                p = r.extended(x, e)
                 SimpleIteration.entry_contexts.record(self, (a, p), tuple(found))
                 out.append(p)
         out.sort(key=self._condition_key)

@@ -314,12 +314,15 @@ def verify_well_definedness(
     names = names or {}
     rep = Report(check="well_definedness", names=len(names))
 
-    def check(first_difference, code, kind, condition, name, where):
+    def check(first_difference, code, kind, condition, name, where, *sets):
+        """One comparison; the failure's labels are formatted only on a
+        difference: ``condition`` by `str`, ``where`` with ``sets`` sorted."""
         rep.checked += 1
         diff = first_difference(code)
         if diff is not None:
             pt, v1, v2 = diff
-            rep.failures.append(Failure(kind, condition, name, f"{where} at {pt}", str(v1), str(v2)))
+            where = where.format(*map(sorted, sets))
+            rep.failures.append(Failure(kind, str(condition), name, f"{where} at {pt}", str(v1), str(v2)))
 
     # one batch per distinct tuple space, so a node shared by the codes of
     # several conditions is evaluated once over it
@@ -332,8 +335,7 @@ def verify_well_definedness(
                 lambda c, batch: eval_code(c, batch, strict=False),
             )
             for a in bigger:
-                check(first_difference, synth_E(it, a, q), "code-ambient", str(q), "",
-                      f"K={sorted(small)} A={sorted(a)}")
+                check(first_difference, synth_E(it, a, q), "code-ambient", q, "", "K={} A={}", small, a)
             # delegation-choice independence where the case split offers one
             x = it.template.order.max_of(small) if small else None
             if x is not None and it.past_in(small, x) not in it.template.families[x]:
@@ -342,7 +344,7 @@ def verify_well_definedness(
                         it, small, q,
                         chooser=lambda a, p, cands, _c=choice: _c if _c in cands else cands[0],
                     )
-                    check(first_difference, forced, "code-choice", str(q), "", f"A'={sorted(choice)}")
+                    check(first_difference, forced, "code-choice", q, "", "A'={}", choice)
     full = it.template.all_points()
     for label, name in names.items():
         first_difference = _compare_with(
@@ -351,7 +353,7 @@ def verify_well_definedness(
         )
         for a, _ in supersets:
             if a != full and _name_in_pstar(it, a, name):
-                check(first_difference, synth_F(it, a, name), "fcode-ambient", "", label, f"A={sorted(a)}")
+                check(first_difference, synth_F(it, a, name), "fcode-ambient", "", label, "A={}", a)
     return rep
 
 

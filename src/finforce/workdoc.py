@@ -120,6 +120,17 @@ def _named(names: dict, ref: Any, path: str, what: str = "entry name") -> Any:
     return names[ref]
 
 
+def _listed(names: dict, declared_at: dict, cfg: dict, x: str, key: str, what: str) -> tuple:
+    """The names that ``iteration.x.key`` lists, each declared at x
+    (``declared_at`` maps their labels to their points)."""
+    path = f"iteration.{x}.{key}"
+    out = []
+    for ref in _shaped(cfg.get(key, []), list, path):
+        out.append(_named(names, ref, path, what))
+        _expect(declared_at[ref] == x, path, f"{what} {ref!r} is declared at {declared_at[ref]}, not {x}")
+    return tuple(out)
+
+
 def _parse_model(label: str, spec: dict, cap: int) -> BorelPosetModel:
     """Build a built-in model, refusing one with more elements than cap
     before any construction: each element is a condition at every B
@@ -297,8 +308,9 @@ def parse_doc(text: str) -> WorkbenchDoc:
                 point_models[x] = _named(models, cfg.get("model"), f"iteration.{x}", "model")
 
         entry_names: dict[str, DecisionTableName] = {}
+        entry_at: dict[str, str] = {}
         for label, espec in _shaped(raw.get("entries", {}), dict, "entries").items():
-            point = _shaped(espec, dict, f"entries.{label}").get("point")
+            point = entry_at[label] = _shaped(espec, dict, f"entries.{label}").get("point")
             _expect(isinstance(point, str) and point in point_models, f"entries.{label}",
                     f"entry names need a B/R point, got {point!r}")
             entry_names[label] = _parse_table_name(
@@ -307,9 +319,13 @@ def parse_doc(text: str) -> WorkbenchDoc:
             )
 
         widened_names: dict[str, DecisionTableName] = {}
+        widened_at: dict[str, str] = {}
         for label, wspec in _shaped(raw.get("widened_entries", {}), dict, "widened_entries").items():
-            _named(rank, _shaped(wspec, dict, f"widened_entries.{label}").get("point"),
-                   f"widened_entries.{label}", "point")
+            point = _shaped(wspec, dict, f"widened_entries.{label}").get("point")
+            _named(rank, point, f"widened_entries.{label}", "point")
+            _expect(point not in point_models, f"widened_entries.{label}.point",
+                    f"widened entries need a C point, got {point!r}")
+            widened_at[label] = point
 
             def ordinal_parser(v, path):
                 _expect(_natural(v), path, "widened values must be ordinals")
@@ -325,10 +341,8 @@ def parse_doc(text: str) -> WorkbenchDoc:
             path = f"iteration.{x}"
             kind = cfg["kind"]
             support = _points(cfg.get("support", []), f"{path}.support")
-            extra = tuple(_named(entry_names, ref, f"{path}.entries")
-                          for ref in _shaped(cfg.get("entries", []), list, f"{path}.entries"))
-            widened = tuple(_named(widened_names, ref, f"{path}.widened")
-                            for ref in _shaped(cfg.get("widened", []), list, f"{path}.widened"))
+            extra = _listed(entry_names, entry_at, cfg, x, "entries", "entry name")
+            widened = _listed(widened_names, widened_at, cfg, x, "widened", "widened entry")
             include_constants = bool(cfg.get("constants", True))
             if kind == "B":
                 assignments[x] = IterandAssignment(

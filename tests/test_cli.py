@@ -206,6 +206,15 @@ class TestValidate:
                      id="subposet-elements"),
         pytest.param("i1.json", ("names", "n4", 2, 0, "when", "c", "entry"), [],
                      "names.n4[2][0].c: unknown entry name []", id="entry-literal-ref"),
+        pytest.param("i1.json", ("iteration", "a", "entries"), ["t1"],
+                     "iteration.a.entries: entry name 't1' is declared at c, not a",
+                     id="entry-listed-at-another-point"),
+        pytest.param("i1.json", ("iteration", "a", "widened"), ["w1"],
+                     "iteration.a.widened: widened entry 'w1' is declared at b, not a",
+                     id="widened-listed-at-b-point"),
+        pytest.param("i1.json", ("widened_entries", "w1", "point"), "a",
+                     "widened_entries.w1.point: widened entries need a C point, got 'a'",
+                     id="widened-declared-at-b-point"),
     ])
     def test_malformed_shapes(self, tmp_path, capsys, name, keys, value, message):
         """A block, entry or reference of the wrong JSON shape is a parse

@@ -76,6 +76,19 @@ class TestTupleSpace:
         assert t.size() == 2
         assert len(list(enumerate_points(t))) == 2
 
+    def test_one_space_per_history(self):
+        """Equal histories share one space; histories with the same points
+        and other W-sets get their own, each the one built afresh."""
+        it = fixtures.i1().iteration
+        full = it.template.all_points()
+        histories = [history_of_condition(it, full, p) for p in it.members(full)]
+        spaces = {}
+        for h in histories:
+            t = tuple_space(it, h)
+            assert t == tuple_space.__wrapped__(it, h)
+            assert spaces.setdefault(h, t) is t
+        assert len({h.points for h in spaces}) < len(spaces)
+
     def test_s_component_uses_full_generic_space(self, i1):
         h = History(points=frozenset({"a"}), w=())
         t = tuple_space(i1.iteration, h)

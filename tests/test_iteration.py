@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from finforce import fixtures
+from finforce import fixtures, history
 from finforce.iteration import (
     EMPTY_CONDITION,
     TRIV,
@@ -488,6 +488,52 @@ class TestMemberTable:
             assert (it.member_pstar(a, p), it.entry_contexts(a, p)) == answers
             assert answers == (ref.member_pstar(a, p), ref.entry_contexts(a, p))
 
+    @over_iterations
+    def test_restrictions_are_the_tables_objects(self, make):
+        """A member's restriction below its maximum is the object of the
+        table of its first context, and every cut along its domain is an
+        object some table holds, equal to the cut made afresh."""
+        it = make()
+        subsets = all_subsets(it.template.points)
+        held = {id(q) for a in subsets for widened in (False, True) for q in it.members(a, widened)}
+        for a in subsets:
+            for p in it.members(a)[1:]:
+                x = p.entries[-1][0]
+                first = it.entry_contexts(a, p)[0]
+                assert any(p.before(x, it.rank) is q for q in it.members(first)), (sorted(a), str(p))
+                for y, _ in p.entries:
+                    cut = p.before(y, it.rank)
+                    assert id(cut) in held
+                    assert cut == Condition(tuple((z, e) for z, e in p.entries if it.rank[z] < it.rank[y]))
+
+    @over_iterations
+    @pytest.mark.parametrize("tagged", [False, True], ids=["plain", "context-tagged"])
+    def test_table_histories_match_recursion(self, make, tagged, monkeypatch):
+        """Every history read off a member table equals the recursion's on
+        an iteration that built no table.  Tagged, every entry history
+        carries the context it was taken over, so a table step read through
+        another context than the recursion's shows even where histories are
+        ambient-free."""
+        if tagged:
+            monkeypatch.setattr(history, "history_of_entry",
+                                lambda it, a, entry: history.History(frozenset({a}), ()))
+        it, fresh = make(), make()
+        recorded = []
+        record = history._canonical_history.record
+
+        def spy(owner, args, answer):
+            recorded.append((args, answer))
+            record(owner, args, answer)
+
+        monkeypatch.setattr(history._canonical_history, "record", spy)
+        subsets = all_subsets(it.template.points)
+        for a in subsets:
+            for p in it.members(a):
+                history.history_of_condition(it, a, p)
+        assert {args for args, _ in recorded} == {(a, p) for a in subsets for p in it.members(a)[1:]}
+        for (a, p), h in recorded:
+            assert h == history._history_of_condition(fresh, a, p, None), (sorted(a), str(p))
+
     @pytest.mark.parametrize("widened", [False, True])
     def test_over_the_cap_does_no_work(self, widened):
         """Over the cap, members raises before it tabulates anything: no
@@ -583,15 +629,24 @@ class TestCachedHashes:
             assert {a: 1}[b] == 1
 
     def test_hash_stays_out_of_pickled_state(self):
+        """Neither the cached hash and domain nor a table member's
+        restriction pointer is pickled; an unpickled member cuts afresh."""
         cond, _, _ = objs = _hashed_objects()
-        assert cond.domain == {"a", "b", "c"} and "domain" in vars(cond)
-        for obj in objs:
+        it = fixtures.i1().iteration
+        member = it.members(it.template.all_points())[-1]
+        assert "_rest" in vars(member) and len(member.entries) == 3
+        for c in (cond, member):
+            assert c.domain == {"a", "b", "c"} and "domain" in vars(c)
+        for obj in objs + (member,):
             hash(obj)
             assert "_hash" in vars(obj)
             state = obj.__reduce_ex__(2)[2]
-            assert "_hash" not in state and "domain" not in state
+            assert "_hash" not in state and "domain" not in state and "_rest" not in state
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and hash(copy) == hash(obj)
+        copy = pickle.loads(pickle.dumps(member))
+        assert "_rest" not in vars(copy)
+        assert copy.before("c", it.rank) == member.before("c", it.rank)
 
     def test_unpickled_in_another_process_hash_as_built_here(self):
         """String hashes differ between processes; an object pickled by a

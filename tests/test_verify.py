@@ -229,6 +229,18 @@ class TestMutatedSynthesizer:
         assert witness.condition and witness.zbar
         assert {witness.expected, witness.actual} == {"True", "False"}
 
+    def test_passing_well_definedness_formats_no_condition(self, case2, monkeypatch):
+        """Failure labels are formatted only for a comparison that fails."""
+        from finforce.iteration import Condition
+
+        formatted = []
+        real_str = Condition.__str__
+        monkeypatch.setattr(Condition, "__str__", lambda p: formatted.append(p) or real_str(p))
+        it, names = case2
+        rep = verify_well_definedness(it, names)
+        assert rep.passed and rep.checked
+        assert formatted == []
+
     def test_well_definedness_reports_first_differing_point(self, case2, monkeypatch):
         """Codes that disagree with the reference everywhere are reported once
         per comparison, at the first point of the condition's tuple space."""
