@@ -7,11 +7,10 @@ by its entries; at C coordinates only the ordinal actually used is kept
 history into model-valued components and characteristic-function
 components restricted to the W-sets.
 
-Canonical histories are memoized per (A, p).  Over an A whose member
-table is built they are read in table order, each member from its
-restriction (the table's own object) and that restriction's history over
-the canonical context; a single condition and a forced context take the
-recursion.  Tuple spaces are memoized per history.
+Canonical histories are memoized per (A, p); a member of a built table
+cuts to its restriction, the smaller table's own object, so the recursion
+finds that restriction's history already memoized.  Tuple spaces are
+memoized per history.
 """
 
 from __future__ import annotations
@@ -75,41 +74,17 @@ def history_of_condition(
 
     ``context_override`` forces the A'-choice at the top recursion step
     only; the invariance checks use it to confirm the choice is immaterial.
-    Without it the history is computed once per (A, p): over an A whose
-    member table is built, the first ask reads the whole table
-    (`_table_histories`).
+    Without it the history is computed once per (A, p).
     """
     if context_override is not None:
         return _history_of_condition(it, a, p, context_override)
-    h = it._memo[_canonical_history].get((a, p))
-    if h is None:
-        if it.built_members(a) is not None:
-            _table_histories(it, a)
-        h = _canonical_history(it, a, p)
-    return h
+    return _canonical_history(it, a, p)
 
 
 @memoized
 def _canonical_history(it: SimpleIteration, a: Subset, p: Condition) -> History:
     """The history of p over A under canonical A'-choices throughout."""
     return _history_of_condition(it, a, p, None)
-
-
-@memoized
-def _table_histories(it: SimpleIteration, a: Subset) -> None:
-    """Record the canonical history of every member of P*|A, in table
-    order.  A member r + (x, e) is read off its restriction r (`before`
-    returns the table's own object), r's history over the canonical context
-    A', and e and x (`_top_step`), with no membership check; the histories
-    of the restrictions come from `_canonical_history`, so reading one table
-    fills no other."""
-    memo = it._memo[_canonical_history]
-    for p in it.built_members(a):
-        if p.entries and (a, p) not in memo:
-            x, entry = p.entries[-1]
-            a2 = it.canonical_context(a, p)
-            h_rest = _canonical_history(it, a2, p.before(x, it.rank))
-            _canonical_history.record(it, (a, p), _top_step(it, a2, h_rest, x, entry))
 
 
 def _history_of_condition(
@@ -119,7 +94,7 @@ def _history_of_condition(
         return EMPTY_HISTORY
     if not it.member_pstar(a, p):
         raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
-    x = it.template.order.max_of(p.domain)
+    x, entry = p.entries[-1]
     if context_override is not None:
         if context_override not in it.entry_contexts(a, p):
             raise ValueError(f"{sorted(context_override)} is not a valid context for {p}")
@@ -127,13 +102,6 @@ def _history_of_condition(
     else:
         a2 = it.canonical_context(a, p)
     h_rest = _canonical_history(it, a2, p.before(x, it.rank))
-    return _top_step(it, a2, h_rest, x, p.get(x))
-
-
-def _top_step(it: SimpleIteration, a2: Subset, h_rest: History, x: Point, entry: Entry) -> History:
-    """The history of r + (x, entry) chosen through the context A', from the
-    history h_rest of r over A'.  At a C point only the ordinal is kept, as
-    W_x; elsewhere the entry's own history over A' joins."""
     if it.assignments[x].kind == "C":
         return History(h_rest.points | {x}, _merge_w(it.rank, h_rest.w, ((x, frozenset({int(entry)})),)))
     h_entry = history_of_entry(it, a2, entry)

@@ -47,6 +47,7 @@ import dataclasses
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -108,27 +109,11 @@ DUMMY = _Sentinel("DUMMY")  # generic value at a deactivated coordinate
 Entry = Any  # int | TRIV | DecisionTableName
 
 
-class _cached:
-    """`functools.cached_property` without the lock Python 3.11 takes on
-    every miss: the first read stores the value in the instance dict, which
-    later reads find before this non-data descriptor."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def _hash_once(cls):
     """Give a frozen dataclass a hash computed once per object, from the
     fields it compares; equality is unchanged.  String hashes differ from
-    process to process, so the cached hash, like every cached value and
-    every other attribute outside the fields, is left out of the pickled
-    state."""
+    process to process, so the cached hash, like every cached property, is
+    left out of the pickled state."""
     hashed = tuple(f.name for f in dataclasses.fields(cls) if (f.compare if f.hash is None else f.hash))
     stored = tuple(f.name for f in dataclasses.fields(cls))
 
@@ -141,7 +126,8 @@ def _hash_once(cls):
     def __getstate__(self) -> dict:
         return {n: self.__dict__[n] for n in stored}
 
-    cls._hash = _cached(_hash)
+    cls._hash = cached_property(_hash)
+    cls._hash.__set_name__(cls, "_hash")
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls
@@ -152,11 +138,11 @@ def _hash_once(cls):
 class Condition:
     """A finite partial map from points to entries, kept rank-sorted.  One
     built by `extended` keeps the condition it extends as ``_rest``, its
-    restriction below its maximum."""
+    restriction below its maximum; like the cached hash, it is not pickled."""
 
     entries: tuple[tuple[Point, Entry], ...]
 
-    @_cached
+    @cached_property
     def domain(self) -> frozenset:
         return frozenset(x for x, _ in self.entries)
 
@@ -656,10 +642,6 @@ class SimpleIteration:
         if total > self.max_conditions:
             raise ResourceCapExceeded(f"conditions over {sorted(a)}", total, self.max_conditions)
         return list(self._member_table(a, widened))
-
-    def built_members(self, a: Subset) -> tuple[Condition, ...] | None:
-        """P*|A as `members` built it, or None before it is built."""
-        return self._memo[SimpleIteration._member_table].get((a, False))
 
     @memoized
     def _member_table(self, a: Subset, widened: bool) -> tuple[Condition, ...]:

@@ -507,32 +507,39 @@ class TestMemberTable:
                     assert cut == Condition(tuple((z, e) for z, e in p.entries if it.rank[z] < it.rank[y]))
 
     @over_iterations
-    @pytest.mark.parametrize("tagged", [False, True], ids=["plain", "context-tagged"])
-    def test_table_histories_match_recursion(self, make, tagged, monkeypatch):
-        """Every history read off a member table equals the recursion's on
-        an iteration that built no table.  Tagged, every entry history
-        carries the context it was taken over, so a table step read through
-        another context than the recursion's shows even where histories are
-        ambient-free."""
-        if tagged:
-            monkeypatch.setattr(history, "history_of_entry",
-                                lambda it, a, entry: history.History(frozenset({a}), ()))
+    def test_histories_through_table_objects_match_fresh_cuts(self, make):
+        """The history of every member, whose cuts are the tables' own
+        objects, equals the recursion's on another iteration over a copy of
+        the member that cuts afresh."""
         it, fresh = make(), make()
-        recorded = []
-        record = history._canonical_history.record
-
-        def spy(owner, args, answer):
-            recorded.append((args, answer))
-            record(owner, args, answer)
-
-        monkeypatch.setattr(history._canonical_history, "record", spy)
-        subsets = all_subsets(it.template.points)
-        for a in subsets:
+        for a in all_subsets(it.template.points):
             for p in it.members(a):
-                history.history_of_condition(it, a, p)
-        assert {args for args, _ in recorded} == {(a, p) for a in subsets for p in it.members(a)[1:]}
-        for (a, p), h in recorded:
-            assert h == history._history_of_condition(fresh, a, p, None), (sorted(a), str(p))
+                copy = Condition(p.entries)
+                assert "_rest" not in vars(copy)
+                h = history.history_of_condition(it, a, p)
+                assert h == history._history_of_condition(fresh, a, copy, None), (sorted(a), str(p))
+
+    @over_iterations
+    def test_history_steps_read_through_canonical_contexts(self, make, monkeypatch):
+        """Each step of a member's history reads its entry and its
+        restriction through the canonical context of the step above.  Every
+        entry history is tagged with the context it was taken over, so a
+        step read through another context shows even where histories are
+        ambient-free."""
+        monkeypatch.setattr(history, "history_of_entry",
+                            lambda it, a, entry: history.History(frozenset({a}), ()))
+        it = make()
+        for a in all_subsets(it.template.points):
+            for p in it.members(a):
+                expected, b, q = set(), a, p
+                while q.entries:
+                    x = q.entries[-1][0]
+                    b = it.canonical_context(b, q)
+                    if it.assignments[x].kind != "C":
+                        expected.add(b)
+                    q = q.before(x, it.rank)
+                h = history.history_of_condition(it, a, p)
+                assert {s for s in h.points if isinstance(s, frozenset)} == expected, (sorted(a), str(p))
 
     @pytest.mark.parametrize("widened", [False, True])
     def test_over_the_cap_does_no_work(self, widened):
