@@ -413,12 +413,15 @@ class SimpleIteration:
         )
 
     def canonical_context(self, a: Subset, p: Condition) -> Subset:
-        """The canonical A'-choice: the inclusion-least valid trace member if
-        unique, else the least valid one in the canonical subset order."""
+        """The canonical A'-choice: the first of the `entry_contexts`.  In
+        their canonical order (size, then rank) nothing before a context is
+        a strict subset of it, so the first is inclusion-minimal, the
+        inclusion-least one whenever that is unique, and otherwise the
+        least minimal one."""
         contexts = self.entry_contexts(a, p)
         if not contexts:
             raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
-        return self.template.canonical_choice(contexts)
+        return contexts[0]
 
     def _entry_ok(self, x: Point, e: Entry, a2: Subset) -> bool:
         asg = self.assignments[x]

@@ -80,10 +80,9 @@ def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | No
         return _factorize(it, a, x, p, chooser)
     candidates = case2_contexts(it, a, p)
     if candidates:
-        if chooser is not None:
-            a2 = chooser(a, p, candidates)
-        else:
-            a2 = it.template.canonical_choice(candidates)
+        # the first candidate in canonical order is the canonical choice,
+        # as in `SimpleIteration.canonical_context`
+        a2 = candidates[0] if chooser is None else chooser(a, p, candidates)
         return _sub_code(it, a2, p, chooser)
     # no strictly smaller admissible set covers the condition's domain; the
     # factorization through the maximum is still semantically exact because

@@ -86,15 +86,6 @@ class IndexedTemplate:
     def sorted_subsets(self, subsets: Iterable[Subset]) -> list[Subset]:
         return sorted(subsets, key=self.order.subset_key)
 
-    def canonical_choice(self, candidates: Iterable[Subset]) -> Subset:
-        """The inclusion-least candidate if unique, else the least minimal
-        one in the canonical subset order."""
-        candidates = list(candidates)
-        minimal = [c for c in candidates if not any(d < c for d in candidates)]
-        if len(minimal) == 1:
-            return minimal[0]
-        return min(minimal, key=self.order.subset_key)
-
 
 def _closed_under_union_intersection(family: frozenset[Subset]) -> tuple | None:
     for b1 in family:

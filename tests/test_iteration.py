@@ -34,6 +34,7 @@ from finforce.iteration import (
 from finforce.models import cohen
 from finforce.names import RealName
 from finforce.posets import unpack_rows
+from finforce.synth import case2_contexts
 from finforce.templates import LinearOrder, full_powerset_template, validate_template
 from finforce.verify import verify_density, verify_main_theorem
 from finforce.workdoc import load_doc
@@ -540,6 +541,26 @@ class TestMemberTable:
                     q = q.before(x, it.rank)
                 h = history.history_of_condition(it, a, p)
                 assert {s for s in h.points if isinstance(s, frozenset)} == expected, (sorted(a), str(p))
+
+    @over_iterations
+    def test_canonical_choice_is_the_first_candidate(self, make):
+        """The canonical context, and the canonical case-two delegation
+        target, are the first candidate in canonical order; the rule they
+        implement, the inclusion-least candidate if unique, else the least
+        minimal one, is kept here as the reference."""
+        def reference(it, candidates):
+            minimal = [c for c in candidates if not any(d < c for d in candidates)]
+            return minimal[0] if len(minimal) == 1 else min(minimal, key=it.template.order.subset_key)
+
+        it = make()
+        for a in all_subsets(it.template.points):
+            for p in it.members(a):
+                if p.is_empty():
+                    continue
+                assert it.canonical_context(a, p) == reference(it, it.entry_contexts(a, p)), (sorted(a), str(p))
+                candidates = case2_contexts(it, a, p)
+                if candidates:
+                    assert candidates[0] == reference(it, candidates), (sorted(a), str(p))
 
     @pytest.mark.parametrize("widened", [False, True])
     def test_over_the_cap_does_no_work(self, widened):

@@ -2,6 +2,7 @@
 complete embeddings and correct systems."""
 
 import gc
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from finforce import posets
+from finforce import fixtures, posets
+from finforce.iteration import EMPTY_CONDITION
 from finforce.models import cohen, ed
 from finforce.posets import (
     CorrectSystem,
@@ -29,6 +31,7 @@ from finforce.posets import (
     pack_rows,
     unpack_rows,
 )
+from finforce.templates import SUBSETS, lattice
 
 
 def vee_poset():
@@ -421,25 +424,33 @@ def _random_order(n, seed, density=0.05):
     return leq
 
 
+# each transitivity kernel forced, and the one the popcounts choose
+TRANSITIVITY = [posets._closed_rows, posets._chains_hold, posets._transitive]
+
+
 def _assert_rejection_matches(leq):
     expected = _dense_rejection(leq)
-    if expected is None:
-        p = FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
-        assert (p.leq_matrix == leq).all()
-    else:
-        with pytest.raises(ValueError, match=expected):
-            FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
+    for kernel in TRANSITIVITY:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posets, "_transitive", kernel)
+            if expected is None:
+                p = FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
+                assert (p.leq_matrix == leq).all()
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(relation_strategy())
 def test_poset_rejects_exactly_the_dense_violations(leq):
-    """The packed transitivity and antisymmetry checks reject exactly the
-    matrices the dense definitions reject, with the same first message."""
+    """The packed transitivity and antisymmetry checks, with either
+    transitivity kernel, reject exactly the matrices the dense definitions
+    reject, with the same first message."""
     _assert_rejection_matches(leq)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
 def test_poset_rejection_on_multiword_rows(n):
     """Rows of more than one word: a valid order, the same order with one
     transitive cell removed, and with one cell mirrored."""
@@ -601,3 +612,132 @@ def test_correct_system_verdicts_on_multiword_rows():
         assert failures == _dense_system_failures(s)
         outcomes.add(failures[0][0] if failures else "ok")
     assert outcomes >= {"P0<P1", "reduction-not-persistent", "ok"}
+
+
+# ---------------------------------------------------------------------------
+# Order kernels on the subset lattice of finite support iterations
+
+
+def _lattice(it):
+    """P*|A for every subset A of the iteration's points."""
+    return [it.build_poset(a) for (a,) in lattice(it.template.points, SUBSETS)]
+
+
+def test_kernels_agree_on_single_deletions_from_the_fsi_order(cohen_fsi):
+    """Deleting one cell a <= c that some third element lies between breaks
+    transitivity: both kernels, with whole blocks and with blocks of a few
+    rows, accept the k = 4 FSI order and reject each of 30 such deletions,
+    a third of them at the first and a third at the last bit of a word."""
+    it = cohen_fsi(4)
+    p = it.build_poset(it.template.all_points())
+    leq = p.leq_matrix
+    between = (leq.astype(np.int64) @ leq.astype(np.int64)) > 2  # a <= b <= c with b not a, c
+    cells = np.argwhere(leq & between)
+    rng = np.random.default_rng(4)
+    # a third of them clear the first, a third the last bit of a word
+    picked = np.concatenate([rng.permutation(cells[cells[:, 0] % 64 == bit])[:10] for bit in (0, 63)]
+                            + [rng.permutation(cells)[:10]])
+    assert len(picked) == 30
+    for kernel in (posets._closed_rows, posets._chains_hold):
+        for cap in (posets._BLOCK_WORDS, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(posets, "_transitive", kernel)
+                mp.setattr(posets, "_BLOCK_WORDS", cap)
+                FinitePoset(p.elements, pack_rows(leq.T), p.top)
+                for a, c in picked:
+                    broken = leq.copy()
+                    broken[a, c] = False
+                    assert _dense_rejection(broken) == "not transitive"
+                    with pytest.raises(ValueError, match="not transitive"):
+                        FinitePoset(p.elements, pack_rows(broken.T), p.top)
+
+
+def test_popcounts_choose_chains_from_k6_on_the_fsi_ladder(cohen_fsi, monkeypatch):
+    """The predicted costs keep the packed kernel for the FSI orders of
+    k <= 5 and test chains from k = 6 on: 16^k tests against
+    9^k * 4^k / 64 words."""
+    chosen = {}
+    for name in ("_closed_rows", "_chains_hold"):
+        real = getattr(posets, name)
+        monkeypatch.setattr(posets, name, lambda up, down, real=real, name=name: chosen.setdefault(len(down), name)
+                            and real(up, down))
+    for k in (4, 5, 6):
+        it = cohen_fsi(k)
+        it.build_poset(it.template.all_points())
+    assert [chosen[4**k] for k in (4, 5, 6)] == ["_closed_rows", "_closed_rows", "_chains_hold"]
+
+
+def _kernel_rows(lattice):
+    """The compat rows of each poset of a lattice and the reduction matrix
+    of each nested pair, every pair embedding completely."""
+    out = []
+    for sup in lattice:
+        out.append(sup._compat_words)
+        for sub in lattice:
+            if set(sub.elements) <= set(sup.elements):
+                assert check_complete_embedding_posets(sub, sup).ok
+                out.append(_embedding(sub, sup)[2])
+    return out
+
+
+@pytest.mark.parametrize("cap", [None, 1 << 12, 16])
+def test_gathered_blocks_stay_within_the_table_and_the_cap(cap, cohen_fsi, monkeypatch):
+    """No block gathers more than `posets._budget`: min(the table's words,
+    the cap), or 1/32 of the cap when the table is smaller, across
+    validation, compat rows and the reduction matrices of every nested pair
+    of the k = 4 FSI lattice.  A cap of 4096 words makes the table the
+    bound of its largest posets, and one of a few rows splits the widest
+    rows into pieces; both give the same rows as the default blocks."""
+    expected = _kernel_rows(_lattice(cohen_fsi(4)))
+    if cap is not None:
+        monkeypatch.setattr(posets, "_BLOCK_WORDS", cap)
+    gathered = []
+    real = posets._reduce_segments
+
+    def spy(op, table, index, counts):
+        bound = min(max(table.size, posets._BLOCK_WORDS // 32), posets._BLOCK_WORDS)
+        gathered.append((len(index) * table.shape[1], bound, table.size))
+        return real(op, table, index, counts)
+
+    monkeypatch.setattr(posets, "_reduce_segments", spy)
+    got = _kernel_rows(_lattice(cohen_fsi(4)))
+    assert len(got) == len(expected) and all((a == b).all() for a, b in zip(got, expected))
+    assert gathered and all(words <= bound for words, bound, _ in gathered)
+    if cap == 1 << 12:
+        assert any(bound == size < cap for _, bound, size in gathered)
+    if cap == 16:
+        assert any(words == bound for words, bound, _ in gathered)
+
+
+def test_validating_the_k5_order_allocates_at_most_twice_its_rows(cohen_fsi):
+    """Validation of the k = 5 P*|L (1024 conditions) allocates at most
+    twice its packed up and down rows: no kernel gathers more than the
+    table it reads."""
+    it = cohen_fsi(5)
+    a = it.template.all_points()
+    elements = it.members(a)
+    down = it._order_matrix(a, elements)
+    tracemalloc.start()
+    try:
+        p = FinitePoset(elements, down, EMPTY_CONDITION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (p._up.nbytes + p._down.nbytes)
+
+
+@pytest.mark.parametrize("doc", ["fsi4", "case2"])
+def test_identical_pair_matches_a_copy(doc, cohen_fsi, monkeypatch):
+    """A poset checked against itself reads no cells, yet gives what a
+    distinct poset with the same rows gives: the report, the index array
+    and the reduction matrix."""
+    compared = []
+    real = posets._compare_cells
+    monkeypatch.setattr(posets, "_compare_cells", lambda sub, sup, *rest: compared.append((sub, sup)) or real(sub, sup, *rest))
+    for p in _lattice(cohen_fsi(4) if doc == "fsi4" else fixtures.case2_fixture()[0]):
+        q = FinitePoset(p.elements, p._down.copy(), p.top)
+        same, copy = _embedding(p, p), _embedding(p, q)
+        assert same[0] == copy[0] and same[0].ok
+        assert (same[1] == copy[1]).all() and (same[2] == copy[2]).all()
+        assert compared[-1] == (p, q)
+    assert all(sub is not sup for sub, sup in compared)
