@@ -231,8 +231,6 @@ def restrict_tuple(zbar: GenericSequence | TuplePoint, t: TupleSpace) -> TuplePo
             entries.append((x, tuple((xi, have[xi]) for xi in wmap[x])))
         else:
             entries.append((x, tuple((xi, v[xi]) for xi in wmap[x])))
-    order = {y: i for i, y in enumerate(t.s_points + t.c_points)}
-    entries.sort(key=lambda kv: order[kv[0]])
     return TuplePoint(tuple(entries))
 
 

@@ -10,16 +10,16 @@ Membership is one relation, that of the widened iteration P, where a C
 entry is a literal ordinal or a widened entry (a decision-table name for
 one); `entry_contexts` decides it.  The dense subcollection P* is the
 ordinal part of P: its conditions are those of P whose C entries are all
-literal ordinals (`member_pstar`).  Only the palettes (`entry_palette`,
-`members`) tell the two apart.
+literal ordinals (`member_pstar`).
 
-`members` builds P|A the way the recursion on depth defines it, stage by
-stage: the members whose domain has maximum x are the members r of each
-trace set A' of I_x on A, extended by each palette entry e valid over A'.
-The A' that give one (r, e) are its `entry_contexts`, so the table records
-them as that function's answers.  `member_p`, `member_pstar` and
-`entry_contexts` stay the recursion for a single condition, which builds
-no table.
+One member table per subset holds P|A, built the way the recursion on
+depth defines it, stage by stage: the members whose domain has maximum x
+are the members r of each trace set A' of I_x on A, extended by each
+palette entry e valid over A'.  The A' that give one (r, e) are its
+`entry_contexts`, so the table records them as that function's answers.
+`members` reads P*|A off the table as its ordinal part.  `member_p`,
+`member_pstar` and `entry_contexts` stay the recursion for a single
+condition, which builds no table.
 
 Membership, the order, generic sequences and induced filters are all
 decided semantically: a condition enters the filter of a generic sequence
@@ -362,13 +362,13 @@ class SimpleIteration:
         return spec.build()
 
     @memoized
-    def entry_palette(self, x: Point, widened: bool = False) -> list[Entry]:
+    def entry_palette(self, x: Point) -> list[Entry]:
+        """The entries the member table tries at x; at a C point, the
+        ordinals and the widened entries."""
         asg = self.assignments[x]
         palette: list[Entry]
         if asg.kind == "C":
-            palette = list(range(asg.gamma))
-            if widened:
-                palette += sorted(asg.widened_entries, key=lambda n: n.label)
+            palette = list(range(asg.gamma)) + sorted(asg.widened_entries, key=lambda n: n.label)
         else:
             palette = [TRIV]
             if asg.include_constants:
@@ -633,21 +633,28 @@ class SimpleIteration:
 
     # -- materialization ------------------------------------------------------
 
+    def _widens(self, a: Subset) -> bool:
+        """Some point of A has widened entries, so P|A is more than P*|A."""
+        return any(self.assignments[x].kind == "C" and self.assignments[x].widened_entries for x in a)
+
     def members(self, a: Subset, widened: bool = False) -> list[Condition]:
-        """The conditions of P|A drawn from the widened palettes, or by
-        default from the ordinal ones, which give exactly P*|A; in
-        canonical order.  The palette product bounds their number, and is
-        checked against the cap before any work; the list is built stage
-        by stage (`_member_table`)."""
+        """The conditions of P*|A, or with ``widened`` those of P|A, in
+        canonical order.  The palette product bounds the size of P|A, the
+        table that is built (`_member_table`), and is checked against the
+        cap before any work; P*|A is its ordinal part, the table itself
+        where A widens nothing."""
         total = 1
         for x in self.points_of(a):
-            total *= len(self.entry_palette(x, widened)) + 1
+            total *= len(self.entry_palette(x)) + 1
         if total > self.max_conditions:
             raise ResourceCapExceeded(f"conditions over {sorted(a)}", total, self.max_conditions)
-        return list(self._member_table(a, widened))
+        table = self._member_table(a)
+        if widened or not self._widens(a):
+            return list(table)
+        return [p for p in table if self.member_pstar(a, p)]
 
     @memoized
-    def _member_table(self, a: Subset, widened: bool) -> tuple[Condition, ...]:
+    def _member_table(self, a: Subset) -> tuple[Condition, ...]:
         """`members` by recursion on depth.  A condition with maximum x is a
         member when, for some A' in the trace of I_x on A, its restriction
         below x is a member over A' and its entry at x is valid over A'.  So
@@ -657,12 +664,12 @@ class SimpleIteration:
         `entry_contexts`, recorded as they are found."""
         out = [EMPTY_CONDITION]
         for x in self.points_of(a):
-            palette = self.entry_palette(x, widened)
+            palette = self.entry_palette(x)
             contexts: dict[tuple[Condition, Entry], list[Subset]] = defaultdict(list)
             for a2 in self.template.sorted_subsets(trace_family(self.template, x, a)):
                 valid = [e for e in palette if self._entry_ok(x, e, a2)]
                 if valid:
-                    for r in self._member_table(a2, widened):
+                    for r in self._member_table(a2):
                         for e in valid:
                             contexts[r, e].append(a2)
             for (r, e), found in contexts.items():
@@ -770,7 +777,7 @@ class SimpleIteration:
         a preorder only, so `FinitePoset` would reject it) is read at the
         down-sets of the rest, masked to P*; the first without an
         extension, in widened order, is the witness."""
-        if not any(self.assignments[x].kind == "C" and self.assignments[x].widened_entries for x in a):
+        if not self._widens(a):
             return True, None
         widened = self.members(a, widened=True)
         star = [p for p in widened if self.member_pstar(a, p)]

@@ -71,7 +71,6 @@ long as the object it was derived from.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import weakref
 from collections import defaultdict
@@ -89,30 +88,21 @@ def memoized(fn):
     """Cache ``fn(owner, *args)`` in ``owner._memo``, a ``defaultdict(dict)``
     holding one dict per cached function.
 
-    The key is the tuple of arguments after ``owner``, positional, with
-    defaults filled in, so ``f(o, x)`` and ``f(o, x, False)`` share an entry
-    when False is the default.  Answers are shared, so callers must not
-    mutate them.  The uncached body stays reachable as ``__wrapped__``.
+    The key is the tuple of arguments after ``owner``, which are passed
+    positionally; ``fn`` may have no defaults, so equal calls have equal
+    keys.  Answers are shared, so callers must not mutate them.  The
+    uncached body stays reachable as ``__wrapped__``.
 
     ``record(owner, args, answer)`` stores an answer that was computed
-    outside ``fn``, for ``args`` given in the key's form (positional, with
-    defaults filled in), unless an answer is already there: a caller that
-    tabulates many answers at once fills the entries a later call reads.
+    outside ``fn``, for the key ``args``, unless an answer is already there:
+    a caller that tabulates many answers at once fills the entries a later
+    call reads.
     """
-    sig = inspect.signature(fn)
-    arity = len(sig.parameters) - 1
-    defaults = fn.__defaults__ or ()
-    least = arity - len(defaults)
+    if fn.__defaults__ or fn.__kwdefaults__:
+        raise TypeError(f"memoized function {fn.__qualname__} has defaults")
 
     @functools.wraps(fn)
-    def cached(owner, *args, **kwargs):
-        if len(args) != arity or kwargs:
-            if not kwargs and len(args) >= least:
-                args += defaults[len(args) - least:]
-            else:
-                bound = sig.bind(owner, *args, **kwargs)
-                bound.apply_defaults()
-                args = bound.args[1:]
+    def cached(owner, *args):
         table = owner._memo[cached]
         hit = table.get(args, _MISS)
         if hit is _MISS:

@@ -5,19 +5,19 @@ code over the condition's tuple space that decides membership in the
 induced generic filter.  The recursion follows the case split on the
 ambient set: when the past of its maximum lies in the family, membership
 factorizes through that coordinate (an E-atom or bit-atom conjunct); when
-it does not, the construction delegates to a strictly smaller admissible
-set.  A nonempty finite set always has a maximum, so the no-maximum case
-degenerates to the empty set.  Canonical codes reuse the memoized codes of
-the smaller sets they recurse to, so equal sub-codes are one object; codes
-built under an explicit delegation chooser are rebuilt throughout.
+it does not, the construction delegates to the first of the strictly
+smaller admissible sets (`case2_contexts`).  A nonempty finite set always
+has a maximum, so the no-maximum case degenerates to the empty set.  Each
+step is memoized per (A, p), so a code reuses the codes of the smaller
+sets it recurses to and equal sub-codes are one object.  The code of p
+over another admissible target A' is `synth_E` over A' itself: a deeper
+set is a strict subset of A' and never offers A' again.
 
 `synth_F` assembles, per output coordinate of a name, the member codes of
 its antichain with their decided values.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .codes import TRUE, AndNode, BitAtom, EAtom, FCode
 from .iteration import (
@@ -33,9 +33,6 @@ from .posets import memoized
 from .templates import Point, Subset, trace_family
 
 
-Chooser = Callable[[Subset, Condition, list[Subset]], Subset]
-
-
 def case2_contexts(it: SimpleIteration, a: Subset, p: Condition) -> list[Subset]:
     """Admissible delegation targets when the past of max(A) is outside the
     family: strictly smaller sets B or B+{max} with B in the trace, still
@@ -49,27 +46,15 @@ def case2_contexts(it: SimpleIteration, a: Subset, p: Condition) -> list[Subset]
     return it.template.sorted_subsets(candidates)
 
 
-def synth_E(
-    it: SimpleIteration,
-    a: Subset,
-    p: Condition,
-    chooser: Chooser | None = None,
-):
+def synth_E(it: SimpleIteration, a: Subset, p: Condition):
     """A membership code for p over its tuple space, relative to A."""
     if not it.member_pstar(a, p):
         raise MembershipError(f"{p} is not a member of P*|{sorted(a)}")
-    if chooser is None:
-        return _canonical_code(it, a, p)
-    return _synth_E(it, a, p, chooser)
+    return _code(it, a, p)
 
 
 @memoized
-def _canonical_code(it: SimpleIteration, a: Subset, p: Condition):
-    """The code of p over A under the canonical delegation choice."""
-    return _synth_E(it, a, p, None)
-
-
-def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | None):
+def _code(it: SimpleIteration, a: Subset, p: Condition):
     if not a:
         # the only subset without a maximum is the empty one; its only
         # member is the empty condition over the one-point tuple space
@@ -77,35 +62,24 @@ def _synth_E(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | No
     x = it.template.order.max_of(a)
     past = it.past_in(a, x)
     if past in it.template.families[x]:
-        return _factorize(it, a, x, p, chooser)
+        return _factorize(it, a, x, p)
     candidates = case2_contexts(it, a, p)
     if candidates:
         # the first candidate in canonical order is the canonical choice,
         # as in `SimpleIteration.canonical_context`
-        a2 = candidates[0] if chooser is None else chooser(a, p, candidates)
-        return _sub_code(it, a2, p, chooser)
+        return _code(it, candidates[0], p)
     # no strictly smaller admissible set covers the condition's domain; the
     # factorization through the maximum is still semantically exact because
     # membership witnesses are monotone under growing ambient sets
-    return _factorize(it, a, x, p, chooser)
+    return _factorize(it, a, x, p)
 
 
-def _sub_code(it: SimpleIteration, a: Subset, p: Condition, chooser: Chooser | None):
-    """The code of p over a smaller set inside a construction.  Without a
-    chooser it is the memoized canonical object, so equal sub-codes are one
-    node; under a chooser it is rebuilt, so that constructions compared for
-    choice independence stay independent."""
-    if chooser is None:
-        return _canonical_code(it, a, p)
-    return _synth_E(it, a, p, chooser)
-
-
-def _factorize(it: SimpleIteration, a: Subset, x: Point, p: Condition, chooser):
+def _factorize(it: SimpleIteration, a: Subset, x: Point, p: Condition):
     past = it.past_in(a, x)
     if x not in p.domain:
-        return _sub_code(it, past, p, chooser)
+        return _code(it, past, p)
     rest = p.before(x, it.rank)
-    sub = _sub_code(it, past, rest, chooser)
+    sub = _code(it, past, rest)
     entry = p.get(x)
     asg = it.assignments[x]
     if asg.kind == "C":

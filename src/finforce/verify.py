@@ -308,8 +308,8 @@ def _compare_with(reference, batch: Batch, evaluate):
 def verify_well_definedness(
     it: SimpleIteration, names: dict[str, RealName] | None = None, seed: int = 0
 ) -> Report:
-    """Codes synthesized relative to nested ambient sets, and under every
-    admissible delegation choice, must be semantically equal on the
+    """Codes synthesized relative to nested ambient sets, and over every
+    admissible delegation target, must be semantically equal on the
     condition's whole tuple space."""
     names = names or {}
     rep = Report(check="well_definedness", names=len(names))
@@ -336,15 +336,12 @@ def verify_well_definedness(
             )
             for a in bigger:
                 check(first_difference, synth_E(it, a, q), "code-ambient", q, "", "K={} A={}", small, a)
-            # delegation-choice independence where the case split offers one
+            # delegation-choice independence where the case split offers one:
+            # delegating to A' builds the code over A'
             x = it.template.order.max_of(small) if small else None
             if x is not None and it.past_in(small, x) not in it.template.families[x]:
                 for choice in case2_contexts(it, small, q):
-                    forced = synth_E(
-                        it, small, q,
-                        chooser=lambda a, p, cands, _c=choice: _c if _c in cands else cands[0],
-                    )
-                    check(first_difference, forced, "code-choice", q, "", "A'={}", choice)
+                    check(first_difference, synth_E(it, choice, q), "code-choice", q, "", "A'={}", choice)
     full = it.template.all_points()
     for label, name in names.items():
         first_difference = _compare_with(

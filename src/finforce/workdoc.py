@@ -343,7 +343,9 @@ def parse_doc(text: str) -> WorkbenchDoc:
             support = _points(cfg.get("support", []), f"{path}.support")
             extra = _listed(entry_names, entry_at, cfg, x, "entries", "entry name")
             widened = _listed(widened_names, widened_at, cfg, x, "widened", "widened entry")
-            include_constants = bool(cfg.get("constants", True))
+            include_constants = cfg.get("constants", True)
+            _expect(isinstance(include_constants, bool), f"{path}.constants",
+                    "must be a JSON boolean")
             if kind == "B":
                 assignments[x] = IterandAssignment(
                     kind="B", model=point_models[x], extra_entries=extra,

@@ -215,6 +215,10 @@ class TestValidate:
         pytest.param("i1.json", ("widened_entries", "w1", "point"), "a",
                      "widened_entries.w1.point: widened entries need a C point, got 'a'",
                      id="widened-declared-at-b-point"),
+        pytest.param("fsi2_cc.json", ("iteration", "0", "constants"), "false",
+                     "iteration.0.constants: must be a JSON boolean", id="constants-string"),
+        pytest.param("fsi2_cc.json", ("iteration", "0", "constants"), 0,
+                     "iteration.0.constants: must be a JSON boolean", id="constants-zero"),
     ])
     def test_malformed_shapes(self, tmp_path, capsys, name, keys, value, message):
         """A block, entry or reference of the wrong JSON shape is a parse

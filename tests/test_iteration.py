@@ -36,7 +36,7 @@ from finforce.names import RealName
 from finforce.posets import unpack_rows
 from finforce.synth import case2_contexts
 from finforce.templates import LinearOrder, full_powerset_template, validate_template
-from finforce.verify import verify_density, verify_main_theorem
+from finforce.verify import run_checks, verify_density, verify_main_theorem
 from finforce.workdoc import load_doc
 
 
@@ -427,15 +427,17 @@ class TestOneRelation:
 
 
 def _palette_members(it, a, widened):
-    """P|A by the palette product, each combination asked of the recursion,
-    in canonical order: the reference for the stage-by-stage table."""
+    """P|A, or without ``widened`` P*|A, by the palette product, each
+    combination asked of the recursion, in canonical order: the reference
+    for the stage-by-stage table."""
     points = it.points_of(a)
-    choices = [[None] + it.entry_palette(x, widened) for x in points]
+    choices = [[None] + it.entry_palette(x) for x in points]
     combos = (
         Condition(tuple((x, e) for x, e in zip(points, combo) if e is not None))
         for combo in itertools.product(*choices)
     )
-    return sorted((p for p in combos if it.member_p(a, p)), key=it._condition_key)
+    member = it.member_p if widened else it.member_pstar
+    return sorted((p for p in combos if member(a, p)), key=it._condition_key)
 
 
 class TestMemberTable:
@@ -561,6 +563,27 @@ class TestMemberTable:
                 candidates = case2_contexts(it, a, p)
                 if candidates:
                     assert candidates[0] == reference(it, candidates), (sorted(a), str(p))
+
+    def test_one_table_per_subset(self):
+        """P|A and P*|A are read off one table per subset: after every check
+        on i1, whose point b has a widened entry, the memo holds one table
+        for each of its 8 subsets."""
+        i1 = fixtures.i1()
+        assert all(r.passed for r in run_checks(i1.iteration, i1.registered_names()))
+        assert len(i1.iteration._memo[SimpleIteration._member_table]) == 8
+
+    def test_cap_counts_the_widened_table(self):
+        """The cap bounds the table that is built, so it is checked against
+        the widened palette product (8 * 5 * 8 = 320 on i1) even where only
+        the 256 members of P* are asked for."""
+        it = fixtures.i1().iteration
+        full = it.template.all_points()
+        it.max_conditions = 319
+        with pytest.raises(ResourceCapExceeded) as err:
+            it.members(full)
+        assert err.value.size == 320
+        it.max_conditions = 320
+        assert len(it.members(full)) == 256
 
     @pytest.mark.parametrize("widened", [False, True])
     def test_over_the_cap_does_no_work(self, widened):

@@ -177,12 +177,12 @@ class _Owner:
         self.calls = []
 
     @memoized
-    def f(self, x, flag=False):
+    def f(self, x, flag):
         self.calls.append(("f", x, flag))
         return (x, flag)
 
     @memoized
-    def g(self, x, flag=False):
+    def g(self, x, flag):
         self.calls.append(("g", x, flag))
         return [x, flag]
 
@@ -190,37 +190,45 @@ class _Owner:
 class TestMemoized:
     """`memoized`, the one memo layer: one dict per function on the owner."""
 
-    def test_defaults_share_an_entry(self):
-        o = _Owner()
-        assert o.f(1) == o.f(1, False) == o.f(1, flag=False) == o.f(x=1) == (1, False)
-        assert o.calls == [("f", 1, False)]
-        assert o.f(1, True) == (1, True)
-        assert o._memo[_Owner.f] == {(1, False): (1, False), (1, True): (1, True)}
-
     def test_functions_and_owners_do_not_share_entries(self):
         o, other = _Owner(), _Owner()
-        assert o.f(1) == (1, False)
-        assert o.g(1) == [1, False]
+        assert o.f(1, False) == (1, False)
+        assert o.g(1, False) == [1, False]
         assert o.calls == [("f", 1, False), ("g", 1, False)]
         assert dict(o._memo) == {_Owner.f: {(1, False): (1, False)}, _Owner.g: {(1, False): [1, False]}}
-        other.f(1)
+        other.f(1, False)
         assert other.calls == [("f", 1, False)]
 
     def test_wrapped_is_the_uncached_body(self):
         o = _Owner()
-        first = o.g(2)
-        assert o.g(2) is first
-        again = _Owner.g.__wrapped__(o, 2)
+        first = o.g(2, False)
+        assert o.g(2, False) is first
+        again = _Owner.g.__wrapped__(o, 2, False)
         assert again == first and again is not first
         assert o.calls == [("g", 2, False)] * 2
         assert len(o._memo[_Owner.g]) == 1
 
+    def test_record_fills_the_entry_a_call_reads(self):
+        o = _Owner()
+        _Owner.f.record(o, (1, False), "recorded")
+        _Owner.f.record(o, (1, False), "later")
+        assert o.f(1, False) == "recorded"
+        assert not o.calls
+
     def test_bad_calls_raise_and_store_nothing(self):
         o = _Owner()
-        for call in (lambda: o.f(), lambda: o.f(1, True, 3), lambda: o.f(1, bogus=2)):
+        for call in (lambda: o.f(1), lambda: o.f(1, True, 3), lambda: o.f(1, flag=True)):
             with pytest.raises(TypeError):
                 call()
         assert not o._memo[_Owner.f] and not o.calls
+
+    def test_defaults_are_refused(self):
+        """The key is the positional arguments, so a default, which would
+        give one call two keys, is refused when the function is decorated."""
+        with pytest.raises(TypeError, match="has defaults"):
+            memoized(lambda owner, x, flag=False: x)
+        with pytest.raises(TypeError, match="has defaults"):
+            memoized(lambda owner, x, *, flag=False: x)
 
 
 class TestEmbeddingsAndSystems:

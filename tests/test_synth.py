@@ -15,7 +15,6 @@ from finforce.codes import (
     fold_true,
     free_components,
     free_components_fcode,
-    print_code,
 )
 from finforce.history import (
     enumerate_points,
@@ -44,10 +43,6 @@ def node_objects(code, into: dict, tables: bool = True) -> dict:
             for member, _ in table:
                 node_objects(member, into, tables)
     return into
-
-
-def canonical_chooser(a, p, cands):
-    return cands[0]
 
 
 class TestCaseStructure:
@@ -105,14 +100,27 @@ class TestCase2:
             points = list(enumerate_points(space))
             base = synth_E(it, a, q)
             for choice in case2_contexts(it, a, q):
-                forced = synth_E(
-                    it, a, q,
-                    chooser=lambda aa, pp, cands, _c=choice: _c if _c in cands else cands[0],
-                )
+                forced = synth_E(it, choice, q)
                 for pt in points:
                     assert eval_code(base, pt, strict=False) == eval_code(
                         forced, pt, strict=False
                     )
+
+    def test_delegates_to_the_first_candidate(self, case2):
+        """Where the case split delegates, the code is the memoized code over
+        the first candidate, the same object."""
+        it, _ = case2
+        delegated = 0
+        for (a,) in lattice(it.template.points, SUBSETS):
+            x = it.template.order.max_of(a) if a else None
+            if x is None or it.past_in(a, x) in it.template.families[x]:
+                continue
+            for q in it.members(a):
+                candidates = case2_contexts(it, a, q)
+                if candidates:
+                    assert synth_E(it, a, q) is synth_E(it, candidates[0], q), (sorted(a), str(q))
+                    delegated += 1
+        assert delegated
 
     def test_fallback_on_full_domain(self, case2):
         """Conditions covering the whole deficient set have no strict
@@ -134,12 +142,9 @@ class TestCase2:
 
 class TestSharing:
     def test_canonical_codes_share_sub_codes(self, cohen_fsi):
-        """The canonical codes of P*|L at k = 5 reuse the memoized codes of
-        their restrictions: 11,264 tree nodes in 1,706 objects (6,401 when
-        each restriction's code was rebuilt).  Sharing changes no code: each
-        prints as the unshared construction does, which an explicit chooser
-        still performs (FSI templates never reach case 2, so the chooser is
-        never asked)."""
+        """The codes of P*|L at k = 5 reuse the memoized codes of their
+        restrictions: 11,264 tree nodes in 1,706 objects (6,401 when each
+        restriction's code was rebuilt)."""
         it = cohen_fsi(5)
         full = it.template.all_points()
         members = it.members(full)
@@ -148,37 +153,6 @@ class TestSharing:
             node_objects(synth_E(it, full, p), nodes)
         assert len(members) == 1024
         assert len(nodes) <= 1706
-        for p in members:
-            rebuilt = synth_E(it, full, p, chooser=canonical_chooser)
-            assert print_code(rebuilt) == print_code(synth_E(it, full, p))
-
-    def test_chooser_codes_are_rebuilt(self, case2):
-        """Codes built under a chooser share no node with any canonical code
-        apart from the empty condition's TRUE leaf, so well_definedness
-        compares independent constructions."""
-        it, _ = case2
-        canonical: dict = {}
-        for (a,) in lattice(it.template.points, SUBSETS):
-            for q in it.members(a):
-                node_objects(synth_E(it, a, q), canonical, tables=False)
-        forced_codes = 0
-        for (a,) in lattice(it.template.points, SUBSETS):
-            x = it.template.order.max_of(a) if a else None
-            if x is None or it.past_in(a, x) in it.template.families[x]:
-                continue
-            for q in it.members(a):
-                for choice in case2_contexts(it, a, q):
-                    forced = synth_E(
-                        it, a, q, chooser=lambda aa, pp, cands, _c=choice: _c if _c in cands else cands[0]
-                    )
-                    forced_codes += 1
-                    if forced is TRUE:
-                        assert q.is_empty()
-                        continue
-                    assert forced is not synth_E(it, a, q)
-                    fresh = node_objects(forced, {}, tables=False)
-                    assert all(node is TRUE for i, node in fresh.items() if i in canonical)
-        assert forced_codes == 50
 
 
 class TestSynthF:

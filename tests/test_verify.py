@@ -140,10 +140,7 @@ class TestSharedWork:
                 reference = synth_E(it, small, q)
                 codes = [synth_E(it, a, q) for a in subsets if small <= a]
                 if delegates:
-                    codes += [
-                        synth_E(it, small, q, chooser=lambda a, p, cands, _c=c: _c if _c in cands else cands[0])
-                        for c in case2_contexts(it, small, q)
-                    ]
+                    codes += [synth_E(it, c, q) for c in case2_contexts(it, small, q)]
                 others = sum(c is not reference for c in codes)
                 points = len(list(enumerate_points(tuple_space(it, history_of_condition(it, small, q)))))
                 want += [points] * ((others > 0) + others)
@@ -217,8 +214,8 @@ class TestMutatedSynthesizer:
                 return NotNode(flip(code.child))
             return code
 
-        def tampered(it, a, p, chooser=None):
-            return flip(real_synth_E(it, a, p, chooser))
+        def tampered(it, a, p):
+            return flip(real_synth_E(it, a, p))
 
         monkeypatch.setattr(verify_mod, "synth_E", tampered)
         rep = verify_mod.verify_main_theorem(i1.iteration, {})
@@ -243,32 +240,41 @@ class TestMutatedSynthesizer:
 
     def test_well_definedness_reports_first_differing_point(self, case2, monkeypatch):
         """Codes that disagree with the reference everywhere are reported once
-        per comparison, at the first point of the condition's tuple space."""
+        per comparison, at the first point of the condition's tuple space.
+        Every delegation target is tampered to the full set, whose codes
+        are negated, so each delegation is reported too."""
         import finforce.verify as verify_mod
         from finforce.codes import NotNode
         from finforce.history import enumerate_points, history_of_condition, tuple_space
+        from finforce.synth import case2_contexts as real_case2_contexts
         from finforce.synth import synth_E as real_synth_E
 
         it, _ = case2
         full = it.template.all_points()
         clean = verify_well_definedness(it)
 
-        def tampered(it, a, p, chooser=None):
-            code = real_synth_E(it, a, p, chooser)
-            return NotNode(code) if a == full or chooser is not None else code
+        def tampered(it, a, p):
+            code = real_synth_E(it, a, p)
+            return NotNode(code) if a == full else code
 
         monkeypatch.setattr(verify_mod, "synth_E", tampered)
+        monkeypatch.setattr(verify_mod, "case2_contexts",
+                            lambda it, a, p: [full for _ in real_case2_contexts(it, a, p)])
         rep = verify_mod.verify_well_definedness(it)
         assert rep.checked == clean.checked
-        first, pairs = {}, 0
+        first, pairs, choices = {}, 0, 0
         for (small,) in lattice(it.template.points, SUBSETS):
+            x = it.template.order.max_of(small) if small else None
+            delegates = x is not None and it.past_in(small, x) not in it.template.families[x]
             for q in it.members(small):
                 space = tuple_space(it, history_of_condition(it, small, q))
                 first[str(q)] = str(next(enumerate_points(space)))
                 pairs += small != full
+                choices += len(real_case2_contexts(it, small, q)) if delegates else 0
         kinds = [f.kind for f in rep.failures]
         assert kinds.count("code-ambient") == pairs
-        assert "code-choice" in kinds and set(kinds) == {"code-ambient", "code-choice"}
+        assert kinds.count("code-choice") == choices == 50
+        assert set(kinds) == {"code-ambient", "code-choice"}
         for f in rep.failures:
             assert f.zbar.endswith(f" at {first[f.condition]}")
             assert {f.expected, f.actual} == {"True", "False"}
