@@ -24,8 +24,6 @@ from .posets import (
     check_complete_embedding_posets,
     check_correct_system,
     compatible,
-    is_maximal_antichain,
-    maximal_antichains,
 )
 from .models import (
     AdmissibleFilter,

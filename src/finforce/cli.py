@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .codes import fold_fcode, fold_true, print_code, print_fcode
 from .history import history_of_condition, history_of_name, tuple_space
@@ -219,7 +219,10 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no document
+    state, and `main` finds each command's function by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="finforce",
         description="finite template-iteration workbench: validate, synthesize, verify",
@@ -228,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="validate a workbench document")
     p_val.add_argument("--doc", required=True, help="path to the document")
-    p_val.set_defaults(fn=cmd_validate)
 
     p_syn = sub.add_parser("synth", help="print a membership code or evaluation function")
     p_syn.add_argument("--doc", required=True)
     p_syn.add_argument("--name", help="registered name label")
     p_syn.add_argument("--cond", help="condition literal as JSON")
-    p_syn.set_defaults(fn=cmd_synth)
 
     p_ver = sub.add_parser("verify", help="run the registered checks")
     p_ver.add_argument("--doc", required=True)
@@ -242,13 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-conditions", type=int, help="at least 1; default: the document's cap")
     p_ver.add_argument("--seed", type=int, help="default: the document's seed")
     p_ver.add_argument("--format", choices=("text", "structured"), default="structured")
-    p_ver.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

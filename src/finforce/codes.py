@@ -386,18 +386,6 @@ def free_components(code: BorelCode) -> tuple[frozenset, dict[Point, frozenset]]
     return frozenset(s_points), {x: frozenset(v) for x, v in bits.items()}
 
 
-def free_components_fcode(f: FCode) -> tuple[frozenset, dict[Point, frozenset]]:
-    s_points: set = set()
-    bits: dict[Point, frozenset] = {}
-    for table in f.coords:
-        for code, _ in table:
-            s, b = free_components(code)
-            s_points |= s
-            for x, xs in b.items():
-                bits[x] = bits.get(x, frozenset()) | xs
-    return frozenset(s_points), bits
-
-
 def fold_true(code: BorelCode) -> BorelCode:
     """Constant-fold TrueNode conjuncts; no other simplification."""
     if isinstance(code, AndNode):

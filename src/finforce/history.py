@@ -149,9 +149,6 @@ class TupleSpace:
     w: tuple[tuple[Point, tuple[int, ...]], ...]
     s_spaces: tuple[tuple[Any, ...], ...]
 
-    def w_of(self, x: Point) -> tuple[int, ...]:
-        return dict(self.w)[x]
-
     def size(self) -> int:
         n = 1
         for space in self.s_spaces:

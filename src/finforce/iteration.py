@@ -52,7 +52,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .models import BorelPosetModel
+from .models import BorelPosetModel, element_label
 from .posets import (
     EmbeddingReport,
     FinitePoset,
@@ -223,8 +223,6 @@ def const_name(value: Any, label: str = "") -> DecisionTableName:
 
 
 def _value_label(v: Any) -> str:
-    from .models import element_label
-
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return element_label(v)

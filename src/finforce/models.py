@@ -15,7 +15,10 @@ The built-ins' order matrices are built from small tables, not pair by
 pair: a prefix table over stems serves `cohen` as its whole order, and
 `ed` joins it with a subset table over function sets and a clash table
 (stem pairs against function sets), broadcast to all pairs of conditions.
-The linked check reads one block of `compat_matrix` per linked block.
+The admissible filters are read off the same tables, so building a model
+never calls its relation E; the validator's E-characterization check then
+compares E with a table that was not built from it.  The linked check
+reads one block of `compat_matrix` per linked block.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ class BorelPosetModel:
 
     def E(self, z: GenericValue, p) -> bool:
         return self.relation(z, p)
-
-    def filter_of(self, z: GenericValue) -> frozenset:
-        """The E-induced filter {p : E(z, p)}."""
-        return frozenset(p for p in self.poset.elements if self.E(z, p))
 
     def label(self, element) -> str:
         return element_label(element)
@@ -230,17 +229,21 @@ def _prefix_table(letters: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def cohen(k: int = 2, m: int = 2) -> BorelPosetModel:
     """Cohen forcing truncated to stems of length <= k over an m-letter
     alphabet.  E(z, s) holds when s is a prefix of z; the admissible filters
-    are the prefix filters of the length-k strings."""
+    are the prefix filters of the length-k strings, read off the prefix
+    table's rows."""
     elements = _strings_up_to(k, m)
-    poset = FinitePoset(elements, pack_rows(_prefix_table(*_stem_table(elements, k)).T), ())
-    space = tuple(s for s in elements if len(s) == k)
+    prefix = _prefix_table(*_stem_table(elements, k))
+    poset = FinitePoset(elements, pack_rows(prefix.T), ())
+    # the length-k strings come last, in lexicographic order
+    first = len(elements) - m**k
+    space = tuple(elements[first:])
 
     def relation(z, s):
         return z[: len(s)] == s
 
     admissible = tuple(
-        AdmissibleFilter(frozenset(s for s in elements if z[: len(s)] == s), z)
-        for z in space
+        AdmissibleFilter(frozenset(itertools.compress(elements, prefix[first + i])), z)
+        for i, z in enumerate(space)
     )
     blocks = tuple(frozenset([s]) for s in elements)
     return BorelPosetModel(
@@ -264,11 +267,16 @@ def _ed_relation(k: int):
     return relation
 
 
-def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, tuple]:
-    """(s2, f2) <= (s1, f1) iff s1 is a prefix of s2, f1 is a subset of f2,
+def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, np.ndarray, tuple]:
+    """The order, the generic space, the E table (row i holds E(space[i], p)
+    over the elements) and the conditions of each stem.
+
+    (s2, f2) <= (s1, f1) iff s1 is a prefix of s2, f1 is a subset of f2,
     and no function of f1 agrees with s2 at a position in [len(s1), len(s2)).
     Each clause is a table over stems or function sets, and the order is
-    their conjunction broadcast to [s2, f2, s1, f1]."""
+    their conjunction broadcast to [s2, f2, s1, f1].  The E-filter of a
+    generic z is {(s, f) : (z, f) <= (s, f)}, where the subset clause
+    holds, so it is the prefix and clash tables at the stem z."""
     stems = _strings_up_to(k, m)
     funcs = sorted(itertools.product(range(m), repeat=k))
     fsets = []
@@ -295,31 +303,30 @@ def _ed_poset(k: int, m: int) -> tuple[FinitePoset, tuple, tuple]:
     )
     n = len(elements)
     poset = FinitePoset(elements, pack_rows(leq.reshape(n, n).T), ((), frozenset()))
-    space = tuple(tuple(z) for z in itertools.product(range(m), repeat=k))
-    return poset, space, tuple(stems)
+    # the length-k stems come last, in the order of itertools.product
+    first = len(stems) - m**k
+    e_table = (prefix[first:, :, None] & ~clash[first:]).reshape(-1, n)
+    width = len(fsets)
+    blocks = tuple(frozenset(elements[i * width:(i + 1) * width]) for i in range(len(stems)))
+    return poset, tuple(stems[first:]), e_table, blocks
 
 
 def ed(k: int = 2, m: int = 2) -> BorelPosetModel:
     """The eventually-different model truncated at length k: conditions are
     (stem, finite set of length-k functions), with the verbatim order and
     closed relation E.  Admissible filters are the E-induced filters of the
-    length-k generic values."""
-    poset, space, stems = _ed_poset(k, m)
-    relation = _ed_relation(k)
+    length-k generic values, read off the order's tables; validation
+    compares them with the relation itself."""
+    poset, space, e_table, blocks = _ed_poset(k, m)
     admissible = tuple(
-        AdmissibleFilter(
-            frozenset(p for p in poset.elements if relation(z, p)), z
-        )
-        for z in space
-    )
-    blocks = tuple(
-        frozenset(p for p in poset.elements if p[0] == s) for s in stems
+        AdmissibleFilter(frozenset(itertools.compress(poset.elements, row)), z)
+        for z, row in zip(space, e_table)
     )
     return BorelPosetModel(
         name=f"ed({k},{m})",
         poset=poset,
         generic_space=space,
-        relation=relation,
+        relation=_ed_relation(k),
         admissible=admissible,
         linked_partition=blocks,
         centered=True,
@@ -334,23 +341,18 @@ def ed_naive(k: int = 2, m: int = 2) -> BorelPosetModel:
     whose up-set filters violate the E-characterization.  This model is
     expected to fail `validate_borel_model`; it documents why admissible
     filters must be declared rather than derived."""
-    poset, space, stems = _ed_poset(k, m)
-    relation = _ed_relation(k)
+    poset, space, _, blocks = _ed_poset(k, m)
     admissible = []
     for q in poset.minimal_elements():
         stem, _ = q
         padded = stem + (0,) * (k - len(stem))
         admissible.append(AdmissibleFilter(poset.upset(q), padded))
-    blocks = tuple(
-        frozenset(p for p in poset.elements if p[0] == s) for s in stems
-    )
     return BorelPosetModel(
         name=f"ed_naive({k},{m})",
         poset=poset,
         generic_space=space,
-        relation=relation,
+        relation=_ed_relation(k),
         admissible=tuple(admissible),
         linked_partition=blocks,
         centered=True,
     )
-

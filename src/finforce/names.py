@@ -17,7 +17,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .posets import FinitePoset, admissible_filters_upsets, is_maximal_antichain, memoized
+from .posets import FinitePoset, memoized
 
 Element = Hashable
 
@@ -39,14 +39,6 @@ class RealName:
     @property
     def length(self) -> int:
         return len(self.antichains)
-
-
-def validate_name(p: FinitePoset, name: RealName) -> list[str]:
-    problems = []
-    for n, a in enumerate(name.antichains):
-        if not is_maximal_antichain(p, a):
-            problems.append(f"antichain {n} is not a maximal antichain")
-    return problems
 
 
 def decide_forces_value(
@@ -102,45 +94,3 @@ def decide_forces_in_tree(
         raise IndexError(f"prefix length {k} exceeds name length {name.length}")
     tree = frozenset(tuple(t) for t in tree)
     return all(t in tree for t in _selector_tuples(p, cond, name, k))
-
-
-# ---------------------------------------------------------------------------
-# Independent semantic oracles (used by tests and the acceptance suite)
-
-
-@memoized
-def realized_value_rows(
-    p: FinitePoset, cond: Element, name: RealName, k: int
-) -> frozenset[tuple[int, ...]]:
-    """Value tuples realized by fully generic filters containing cond."""
-    rows = set()
-    for g in admissible_filters_upsets(p):
-        if cond not in g:
-            continue
-        vals = []
-        for i in range(k):
-            hits = [j for j, q in enumerate(name.antichains[i]) if q in g]
-            if len(hits) != 1:
-                raise AssertionError("generic filter must meet each antichain once")
-            vals.append(name.values[i][hits[0]])
-        rows.add(tuple(vals))
-    return frozenset(rows)
-
-
-def semantic_forces_in_tree(
-    p: FinitePoset, cond: Element, name: RealName, tree: Iterable[tuple[int, ...]], k: int
-) -> bool:
-    tree = frozenset(tuple(t) for t in tree)
-    return all(t in tree for t in realized_value_rows(p, cond, name, k))
-
-
-def semantic_decide_value(
-    p: FinitePoset, cond: Element, name: RealName, n: int, m: int
-) -> str:
-    rows = realized_value_rows(p, cond, name, n + 1)
-    seen = {r[n] for r in rows}
-    if seen == {m}:
-        return "forces"
-    if m not in seen:
-        return "refutes"
-    return "undecided"

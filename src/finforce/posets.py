@@ -414,43 +414,6 @@ def common_lower_bound_exists(p: FinitePoset, items: Iterable[Element]) -> bool:
     return not ids or bool(np.bitwise_and.reduce(p._down[ids], axis=0).any())
 
 
-def is_antichain(p: FinitePoset, a: Iterable[Element]) -> bool:
-    a = list(a)
-    return all(
-        not compatible(p, a[i], a[j]) for i in range(len(a)) for j in range(i + 1, len(a))
-    )
-
-
-def is_maximal_antichain(p: FinitePoset, a: Iterable[Element]) -> bool:
-    """Pairwise incompatible, and every element is compatible with a member."""
-    a = list(a)
-    if not is_antichain(p, a):
-        return False
-    ids = [p.index[e] for e in a]
-    covered = p.compat_matrix[:, ids].any(axis=1)
-    return bool(covered.all())
-
-
-def maximal_antichains(p: FinitePoset) -> list[tuple[Element, ...]]:
-    """All maximal antichains, by exhaustive search.  Small posets only."""
-    n = len(p.elements)
-    if n > 20:
-        raise ValueError(f"refusing antichain enumeration on {n} elements")
-    compat = p.compat_matrix
-    result: list[tuple[Element, ...]] = []
-
-    def rec(chosen: list[int], start: int):
-        if chosen and compat[:, chosen].any(axis=1).all():
-            result.append(tuple(p.elements[i] for i in chosen))
-            return
-        for i in range(start, n):
-            if all(not compat[i, j] for j in chosen):
-                rec(chosen + [i], i + 1)
-
-    rec([], 0)
-    return sorted(set(result), key=lambda t: (len(t), [p.index[e] for e in t]))
-
-
 class FilterDefect(NamedTuple):
     """Why a subset is not a generic filter: ``kind`` is "empty",
     "no-least", "not-upward-closed" or "not-minimal"; ``least`` is the
@@ -486,15 +449,6 @@ def filter_defect(p: FinitePoset, inside: np.ndarray) -> FilterDefect | None:
 def admissible_filters_upsets(p: FinitePoset) -> list[frozenset]:
     """The fully generic filters of a finite poset: up-sets of minimal elements."""
     return [p.upset(m) for m in p.minimal_elements()]
-
-
-def is_reduction(sub: FinitePoset, sup: FinitePoset, p: Element, q: Element) -> bool:
-    """p (in sub) is a reduction of q (in sup): every extension of p inside
-    sub is compatible with q in sup."""
-    for p2 in sub.downset(p):
-        if not compatible(sup, p2, q):
-            return False
-    return True
 
 
 @dataclass

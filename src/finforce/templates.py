@@ -8,7 +8,8 @@ every later recursion (membership, histories, code synthesis).
 
 `lattice` is the one subset-lattice enumerator: every subset, every nested
 pair and every correct system <A0, A1, B0, B1> of the theorem checks comes
-from it, in the canonical subset order.
+from it, in the canonical subset order.  It is built on `canonical_subsets`,
+the subsets alone in that order, which template validation ranks.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ class LinearOrder:
     def rank(self) -> dict[Point, int]:
         return {x: i for i, x in enumerate(self.points)}
 
+    @cached_property
+    def _pasts(self) -> dict[Point, Subset]:
+        return {x: frozenset(self.points[:i]) for i, x in enumerate(self.points)}
+
     def past(self, x: Point) -> Subset:
         """L_x, the strict past of x."""
-        r = self.rank[x]
-        return frozenset(self.points[:r])
+        return self._pasts[x]
 
     def max_of(self, a: Iterable[Point]) -> Point:
         r = self.rank
@@ -68,8 +72,9 @@ class IndexedTemplate:
     """A validated indexed template <L, I>.
 
     ``families[x]`` is the family I_x of subsets of the strict past of x.
-    ``depth_cache`` fills monotonically; templates are immutable after
-    validation apart from that memo.
+    ``depth_cache`` is the memo of `depth`: validation fills it with the
+    rank of every subset, and `depth` fills it monotonically on a template
+    built without validation.  Templates are immutable apart from that memo.
     """
 
     order: LinearOrder
@@ -169,15 +174,19 @@ def validate_template(
         return violations
 
     template = IndexedTemplate(order=order, families=canon)
-    # T5: exercise the depth recursion on every subset of L.  With the
-    # predecessor shapes used here every step strictly shrinks the subset,
-    # so a cycle would indicate corrupted state rather than a bad family;
-    # the on-stack detector in depth() reports it as T5 either way.
-    try:
-        for (a,) in lattice(order.points, SUBSETS):
-            depth(template, a)
-    except DepthCycleError as exc:
-        return [Violation("T5", None, tuple(exc.cycle), str(exc))]
+    # T5: rank every subset of L bottom-up, in the canonical (size) order.
+    # Every predecessor shape is a proper subset, so each is ranked before
+    # the subset that reads it; one that is not means the recursion would
+    # not ground there.  The ranks fill the memo `depth` reads.
+    ranks = template.depth_cache
+    for a in canonical_subsets(order.points):
+        preds = depth_predecessors(template, a)
+        unranked = [p for p in preds if p not in ranks]
+        if unranked:
+            p = min(unranked, key=order.subset_key)
+            return [Violation("T5", None, (a, p),
+                              f"predecessor {sorted(p)} of {sorted(a)} is not ranked before it")]
+        ranks[a] = 1 + max((ranks[p] for p in preds), default=-1)
     return template
 
 
@@ -185,6 +194,14 @@ def validate_template(
 SUBSETS = ((0,), (1,))
 NESTED_PAIRS = ((0, 0), (0, 1), (1, 1))
 CORRECT_SYSTEMS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 1, 1))
+
+
+def canonical_subsets(points: Sequence[Point]) -> list[Subset]:
+    """Every subset of ``points`` (given in the order of L) in the canonical
+    subset order: by size, then rank-lexicographic.  `lattice` builds its
+    tuples from these objects."""
+    # combinations by size come in the canonical subset order
+    return [frozenset(c) for r in range(len(points) + 1) for c in combinations(points, r)]
 
 
 def lattice(points: Sequence[Point], patterns: Sequence[tuple[int, ...]]) -> list[tuple[Subset, ...]]:
@@ -199,8 +216,7 @@ def lattice(points: Sequence[Point], patterns: Sequence[tuple[int, ...]]) -> lis
     frozenset object.
     """
     n = len(points)
-    # combinations by size come in the canonical subset order
-    subsets = [frozenset(c) for r in range(n + 1) for c in combinations(points, r)]
+    subsets = canonical_subsets(points)
     masks = [sum(c) for r in range(n + 1) for c in combinations([1 << i for i in range(n)], r)]
     position = dict(zip(masks, range(len(masks))))
     # a code packs the masks of a tuple's components side by side, n bits

@@ -2,16 +2,18 @@
 its models, the iteration, registered names and the checks to run.
 
 Parsing is deterministic and validating: every label must be declared
-before use, and structural problems are reported with a JSON path.  The
-parsed document can rebuild its JSON form exactly (round-trip identity on
-the normalized structure).
+before use, and structural problems are reported with a JSON path.  A
+model's generic-filter invariants are checked on demand, when validation
+first reads `WorkbenchDoc.model_violations`, so a load builds only what
+every caller reads.  The parsed document can rebuild its JSON form exactly
+(round-trip identity on the normalized structure).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from graphlib import CycleError, TopologicalSorter
 from typing import Any
 
@@ -52,7 +54,15 @@ class WorkbenchDoc:
     checks: list[str]
     seed: int
     template_violations: list[Violation] = field(default_factory=list)
-    model_violations: dict[str, list] = field(default_factory=dict)
+
+    @cached_property
+    def model_violations(self) -> dict[str, list]:
+        """The problems `validate_borel_model` finds, by model label, for
+        the models that have any.  Computed on first read and kept on this
+        document: only validation reads it, so a point query never pays for
+        it."""
+        return {label: problems for label, model in self.models.items()
+                if (problems := validate_borel_model(model))}
 
     def to_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, indent=2) + "\n"
@@ -286,13 +296,8 @@ def parse_doc(text: str) -> WorkbenchDoc:
     else:
         template = result
 
-    models: dict[str, BorelPosetModel] = {}
-    model_violations: dict[str, list] = {}
-    for label, spec in _shaped(raw.get("models", {}), dict, "models").items():
-        models[label] = _parse_model(label, spec, max_conditions)
-        problems = validate_borel_model(models[label])
-        if problems:
-            model_violations[label] = problems
+    models = {label: _parse_model(label, spec, max_conditions)
+              for label, spec in _shaped(raw.get("models", {}), dict, "models").items()}
 
     iteration = None
     point_models: dict[str, BorelPosetModel] = {}
@@ -352,6 +357,8 @@ def parse_doc(text: str) -> WorkbenchDoc:
                     include_constants=include_constants,
                 )
             elif kind == "C":
+                _expect("constants" not in cfg, f"{path}.constants",
+                        "a C point has no constant entries; constants is for B and R points")
                 gamma = cfg.get("gamma")
                 _expect(_natural(gamma, 1), path, "C needs a gamma")
                 pspec = cfg.get("poset")
@@ -429,7 +436,6 @@ def parse_doc(text: str) -> WorkbenchDoc:
         checks=checks,
         seed=seed,
         template_violations=template_violations,
-        model_violations=model_violations,
     )
 
 

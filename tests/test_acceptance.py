@@ -18,7 +18,6 @@ from finforce.cli import main
 from finforce.codes import (
     eval_code,
     eval_fcode_detailed,
-    free_components_fcode,
 )
 from finforce.history import (
     history_of_condition,
@@ -31,8 +30,6 @@ from finforce.models import validate_borel_model
 from finforce.names import (
     decide_forces_in_tree,
     decide_forces_value,
-    realized_value_rows,
-    semantic_decide_value,
     _selector_tuples,
 )
 from finforce.synth import synth_E, synth_F
@@ -43,6 +40,7 @@ from finforce.verify import (
     verify_well_definedness,
 )
 
+from reference import free_components_fcode, realized_value_rows, semantic_decide_value, w_of
 from test_names import registered_names, sample_trees
 
 
@@ -141,7 +139,7 @@ def test_criterion_03_fsi_shape():
         t = tuple_space(it2, h)
         assert s_points == {"0"}
         assert set(t.s_points) == {"0"} and set(t.c_points) == {"1"}
-        assert h.w_map()["1"] == frozenset(t.w_of("1")) == {1, 2}
+        assert h.w_map()["1"] == frozenset(w_of(t, "1")) == {1, 2}
         assert bits["1"] <= h.w_map()["1"]
 
 

@@ -4,9 +4,10 @@ One short run each of ``fsi4_full`` (all six checks on the four-stage FSI)
 and ``fsi5_main`` (main_theorem on the five-stage FSI) checks every report
 against the benchmark's recorded answers and the closed forms 8^k, 2^k,
 3^k and 5^k.  ``docs_verify`` checks ed_naive's validation diagnostics
-against the golden file, and ``queries`` reloads, and so validates, its
-documents on every query.  A few seconds each; skipped when the benchmark
-directory is absent.
+against the golden file.  ``queries`` validates its documents once, in
+the worker's set-up, and reloads a document without validating its models
+on every query.  A few seconds each; skipped when the benchmark directory
+is absent.
 """
 
 import json

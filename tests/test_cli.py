@@ -11,9 +11,10 @@ from importlib import resources
 import pytest
 
 import finforce
-from finforce import cli, verify
+from finforce import cli, verify, workdoc
 from finforce.cli import main
 from finforce.iteration import IterationError, SmallPosetSpec
+from finforce.models import validate_borel_model
 from finforce.workdoc import DocError, _parse_small_poset, load_doc, parse_doc
 
 
@@ -219,6 +220,12 @@ class TestValidate:
                      "iteration.0.constants: must be a JSON boolean", id="constants-string"),
         pytest.param("fsi2_cc.json", ("iteration", "0", "constants"), 0,
                      "iteration.0.constants: must be a JSON boolean", id="constants-zero"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "constants"), False,
+                     "iteration.1.constants: a C point has no constant entries; constants is "
+                     "for B and R points", id="constants-at-c-point"),
+        pytest.param("fsi2_cohen_c.json", ("iteration", "1", "constants"), True,
+                     "iteration.1.constants: a C point has no constant entries; constants is "
+                     "for B and R points", id="constants-true-at-c-point"),
     ])
     def test_malformed_shapes(self, tmp_path, capsys, name, keys, value, message):
         """A block, entry or reference of the wrong JSON shape is a parse
@@ -510,3 +517,96 @@ class TestDocRoundTrip:
         again = parse_doc(text)
         assert again.raw == doc.raw
         assert again.to_json() == text
+
+
+SHIPPED = ["i1.json", "fsi2_cc.json", "fsi2_cohen_c.json", "fsi3.json", "case2.json",
+           "ed_naive.json", "bad_t1.json"]
+
+
+def run_alone(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one CLI call in a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(finforce.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "finforce.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    return out.returncode, out.stdout, out.stderr
+
+
+@pytest.fixture
+def model_validations(monkeypatch):
+    """The models `validate_borel_model` is called on, in call order, through
+    the name the document module binds."""
+    seen = []
+    real = workdoc.validate_borel_model
+    monkeypatch.setattr(workdoc, "validate_borel_model", lambda model: seen.append(model) or real(model))
+    return seen
+
+
+class TestModelsValidatedOnDemand:
+    """A document validates its models when validation first reads them,
+    not when it loads, so a point query never pays for it."""
+
+    def test_load_and_synth_validate_no_model(self, model_validations, capsys, i1_doc):
+        load_doc(i1_doc)
+        assert main(["synth", "--doc", i1_doc, "--cond", '{"b": 2}']) == 0
+        assert main(["synth", "--doc", i1_doc, "--name", "n1"]) == 0
+        assert model_validations == []
+
+    def test_validation_reads_each_model_once(self, model_validations, i1_doc):
+        doc = load_doc(i1_doc)
+        assert cli._validate(doc) == []
+        assert cli._validate(doc) == []
+        assert model_validations == list(doc.models.values())
+        assert len(model_validations) == 2
+
+    @pytest.mark.parametrize("name, seed", [(name, None) for name in SHIPPED]
+                             + [("case2.json", seed) for seed in range(5)])
+    def test_validate_prints_what_the_models_fail(self, tmp_path, capsys, name, seed):
+        """`finforce validate` prints the template's violations, then each
+        model's, as `validate_borel_model` finds them called directly, or
+        "ok".  None of these documents has a table-name, subposet or name
+        diagnostic, so that is all it prints."""
+        path = doc_path(name) if seed is None else edited_doc(tmp_path, name, ("run", "seed"), seed)
+        doc = load_doc(path)
+        lines = [f"template: {v}" for v in doc.template_violations]
+        lines += [f"model {label}: {p}" for label, model in doc.models.items()
+                  for p in validate_borel_model(model)]
+        code = main(["validate", "--doc", path])
+        assert capsys.readouterr().out == ("\n".join(lines) if lines else "ok") + "\n"
+        assert code == (1 if lines else 0)
+        if name == "ed_naive.json":
+            assert sum("E-characterization" in line for line in lines) == 94
+
+    def test_calls_in_one_process_print_what_each_prints_alone(self, capsys, i1_doc):
+        """The parser is built once per process, and no call leaves state
+        that the next one reads: each call of a sequence prints what it
+        prints in a fresh interpreter, an argument error (exit 2) too."""
+        calls = [
+            ["validate", "--doc", doc_path("ed_naive.json")],
+            ["synth", "--doc", i1_doc, "--cond", '{"b": 2}'],
+            ["synth", "--doc", i1_doc, "--name", "n1"],
+            ["synth", "--doc", i1_doc, "--names", "n1"],
+            ["verify", "--doc", doc_path("fsi2_cc.json")],
+            ["validate", "--doc", i1_doc],
+        ]
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == run_alone(argv), argv
+        assert code == 0
+
+    @pytest.mark.parametrize("name", ["i1.json", "fsi2_cohen_c.json"])
+    def test_loads_share_no_model(self, name):
+        """Each load builds its own models, posets and template."""
+        first, second = load_doc(doc_path(name)), load_doc(doc_path(name))
+
+        def built(doc):
+            return ({id(m) for m in doc.models.values()} | {id(m.poset) for m in doc.models.values()}
+                    | {id(doc.iteration), id(doc.iteration.template)})
+
+        assert not built(first) & built(second)

@@ -21,7 +21,6 @@ from finforce.codes import (
     fold_fcode,
     fold_true,
     free_components,
-    free_components_fcode,
     parse_code,
     parse_fcode,
     print_code,
@@ -29,6 +28,7 @@ from finforce.codes import (
 )
 from finforce.history import TuplePoint
 from finforce.models import cohen
+from reference import w_of
 
 
 def bit_point(point, assignments):
@@ -151,7 +151,7 @@ class TestFreeComponents:
             assert s <= frozenset(space.s_points)
             for x, xs in bits.items():
                 assert x in space.c_points
-                assert xs <= frozenset(space.w_of(x))
+                assert xs <= frozenset(w_of(space, x))
 
 
 class TestSerialization:

