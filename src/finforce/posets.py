@@ -13,9 +13,11 @@ boolean matrix as uint64 words, 64 cells to a word with zero padding, so
 a row of an n-element poset takes 8 * ceil(n / 64) bytes, about n / 8.  A
 poset is built from packed down-set rows and validation transposes them
 once into its up-sets (`_transpose`), so no dense n x n matrix lies on
-the way in.  Every kernel is an OR or AND of packed rows selected by the
-bits of another packed row (`_reduce_rows`), or, for transitivity, a
-test of single words.  A kernel touches n / 8 bytes per selected row:
+the way in.  It keeps the up rows, its one order table, and the mask of
+its minimal elements, not the down rows.  Every kernel is an OR or AND
+of packed rows selected by the bits of another packed row
+(`_reduce_rows`), or, for transitivity, a test of single words.  A
+kernel touches n / 8 bytes per selected row:
 - transitivity: a <= b <= c must give a <= c.  Of two kernels,
   `_transitive` takes the one the row popcounts predict cheaper before
   any work.  `_closed_rows` checks that each down-set contains the
@@ -25,9 +27,9 @@ test of single words.  A kernel touches n / 8 bytes per selected row:
   |up b| * |down b| tests.  On the FSI ladder the second costs
   64 * (4/9)^k times the first, so k <= 5 keeps the packed kernel and
   k >= 6 tests chains (k = 7: 0.75 s against 2.8 s);
-- compatibility: row i is the OR of the up-sets of the minimal elements
-  below i (the up-set of anything else below i is contained in one of
-  theirs), so n / 8 bytes per (minimal, element) pair of the order;
+- compatibility: row i is the OR of the up rows of the minimal elements
+  below i (anything else below i is above one of them), listed by an n x m
+  table of the m minimal elements: n / 8 bytes per such (minimal, i) pair;
 - reductions of sub in sup: row r is the AND of the compatibility rows in
   sup of the minimal elements of sub below r (compatibility grows with
   the element), n_sup / 8 bytes per such pair;
@@ -53,8 +55,8 @@ poset of the subset lattice keeps a dense matrix, and the pair (L, L)
 unpacks no compat matrix.
 
 A poset caches what is derived from it alone: its packed compatibility
-rows, the embedding report, sub-to-sup index array and packed reduction
-matrix of each sub poset checked against it
+and minimal-below rows, the embedding report, sub-to-sup index array and
+packed reduction matrix of each sub poset checked against it
 (`check_complete_embedding_posets`), and the forcing answers of `names`.
 `check_correct_system` reads everything it needs from those per-pair
 entries and multiplies no matrices.  The caching is sound because a poset
@@ -298,9 +300,9 @@ class FinitePoset:
     """An immutable finite poset with a designated top element.
 
     ``down`` holds the down-sets as `pack_rows` lays them out, bit i of row
-    j set when ``elements[i] <= elements[j]``; the poset write-protects it.
-    The order is checked to be reflexive, transitive and antisymmetric, and
-    the top must be the maximum.
+    j set when ``elements[i] <= elements[j]``.  The order is checked to be
+    reflexive, transitive and antisymmetric, and the top must be the
+    maximum.  The poset keeps the up rows and the minimal mask, not ``down``.
     """
 
     def __init__(self, elements: Sequence[Element], down: np.ndarray, top: Element):
@@ -320,14 +322,16 @@ class FinitePoset:
         # the only element both above and below i is i itself: n cells
         if np.bitwise_count(up & down).sum() != n:
             raise ValueError("order is not antisymmetric")
-        if np.bitwise_count(down[elements.index(top)]).sum() != n:
+        below = np.bitwise_count(down).sum(axis=1)
+        if below[elements.index(top)] != n:
             raise ValueError("top is not the maximum")
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.top = top
-        self._up, self._down = up, down
+        self._up = up
+        self._minimal = below == 1  # the elements with a one-element down-set
         up.setflags(write=False)
-        down.setflags(write=False)
+        self._minimal.setflags(write=False)
         self._embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._memo: defaultdict = defaultdict(dict)  # see `memoized`
 
@@ -372,19 +376,15 @@ class FinitePoset:
     def _compat_words(self) -> np.ndarray:
         """`compat_matrix` as packed rows: row i is the OR of the up-sets of
         the minimal elements below i."""
-        words = _reduce_rows(np.bitwise_or, self._up, self._minimal_below)
+        words = _reduce_rows(np.bitwise_or, self._up, self._minimal_below, np.flatnonzero(self._minimal))
         words.setflags(write=False)
         return words
 
     @functools.cached_property
-    def _minimal(self) -> np.ndarray:
-        """The mask of the minimal elements: those with a one-element down-set."""
-        return np.bitwise_count(self._down).sum(axis=1) == 1
-
-    @functools.cached_property
     def _minimal_below(self) -> np.ndarray:
-        """Packed rows: row i holds the minimal elements below i."""
-        return self._down & pack_rows(self._minimal[None, :])
+        """Packed rows over the m minimal elements, ceil(m / 64) words each:
+        bit j of row i set when the j-th minimal element lies below i."""
+        return _transpose(self._up[self._minimal], len(self))
 
     def minimal_elements(self) -> list[Element]:
         return list(itertools.compress(self.elements, self._minimal))
@@ -401,7 +401,7 @@ class FinitePoset:
         keep = set(subset)
         sub = [e for e in self.elements if e in keep]
         ids = np.array([self.index[e] for e in sub], dtype=np.intp)
-        return FinitePoset(sub, pack_rows(_cells(self._down[ids], ids)), self.top)
+        return FinitePoset(sub, pack_rows(_cells(self._up[ids], ids).T), self.top)
 
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
@@ -410,8 +410,8 @@ def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
 
 
 def common_lower_bound_exists(p: FinitePoset, items: Iterable[Element]) -> bool:
-    ids = [p.index[e] for e in items]
-    return not ids or bool(np.bitwise_and.reduce(p._down[ids], axis=0).any())
+    ids = np.array([p.index[e] for e in items], dtype=np.intp)
+    return bool(_cells(p._up, ids).all(axis=1).any())
 
 
 class FilterDefect(NamedTuple):
@@ -441,7 +441,7 @@ def filter_defect(p: FinitePoset, inside: np.ndarray) -> FilterDefect | None:
     b = least[0]
     if (p._up[b] != mask).any():
         return FilterDefect("not-upward-closed")
-    if np.bitwise_count(p._down[b]).sum() != 1:
+    if not p._minimal[b]:
         return FilterDefect("not-minimal", p.elements[b])
     return None
 
@@ -535,7 +535,7 @@ def _check_embedding(
         return EmbeddingReport(False, failures), ids, None
     # red[r]: the q of sup compatible in sup with every extension e <= r
     # inside sub, packed; the minimal e below r suffice
-    red = _reduce_rows(np.bitwise_and, sup._compat_words, sub._minimal_below, ids)
+    red = _reduce_rows(np.bitwise_and, sup._compat_words, sub._minimal_below, ids[sub._minimal])
     red.setflags(write=False)
     reduced = unpack_rows(np.bitwise_or.reduce(red, axis=0, keepdims=True), len(sup))[0]
     unreduced = np.flatnonzero(~reduced)

@@ -25,7 +25,7 @@ KERNELS = (
     {name for name, value in vars(posets).items()
      if getattr(value, "__module__", None) == posets.__name__ and not name.startswith("_")}
     - {"memoized"}
-) | {name for name in vars(posets.FinitePoset) if not name.startswith("__")} | {"_up", "_down"}
+) | {name for name in vars(posets.FinitePoset) if not name.startswith("__")} | {"_up", "_down", "_minimal"}
 FORBIDDEN = ORACLE | KERNELS
 
 
@@ -64,6 +64,7 @@ def test_synth_route_reads_no_oracle(module):
     ("it._order_matrix(a, elems)", "attribute _order_matrix"),
     ("model.poset.compat_matrix", "attribute compat_matrix"),
     ("p._down[0]", "attribute _down"),
+    ("p._minimal.any()", "attribute _minimal"),
     ("check_correct_system(s)", "name check_correct_system"),
 ])
 def test_each_kind_of_use_is_caught(line, what):

@@ -270,6 +270,17 @@ class TestLinkedValidation:
             ModelViolation("linked", ((1,), (0, 0)), "block members 1, 00 incompatible"),
         ]
 
+    def test_centered_block_needs_a_common_lower_bound(self, cohen22):
+        """Two incompatible stems in one block of a centered model have no
+        common lower bound: the block is neither linked nor centered."""
+        block = frozenset({(0,), (1,)})
+        rest = tuple(frozenset([p]) for p in cohen22.poset.elements if p not in block)
+        model = dataclasses.replace(cohen22, linked_partition=(block,) + rest, centered=True)
+        assert validate_borel_model(model) == [
+            ModelViolation("linked", ((0,), (1,)), "block members 0, 1 incompatible"),
+            ModelViolation("centered", ((0,), (1,)), "block has no common lower bound"),
+        ]
+
     def test_partition_must_cover(self, cohen22):
         import finforce.models as m
 

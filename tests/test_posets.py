@@ -29,6 +29,7 @@ from finforce.posets import (
     unpack_rows,
 )
 from finforce.templates import SUBSETS, lattice
+from finforce.verify import run_checks
 from reference import is_maximal_antichain, is_reduction, maximal_antichains
 
 
@@ -167,6 +168,31 @@ def test_filter_audit_matches_brute_force_on_every_subset(p):
         defect = filter_defect(p, np.array([i in g for i in range(n)], dtype=bool))
         assert (defect is None) == (is_filter and meets_once), (sorted(g), defect)
         assert (defect is not None and defect.kind == "not-minimal") == (is_filter and not meets_once)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_poset_strategy(), st.data())
+def test_lower_bounds_and_restrictions_match_the_order(p, data):
+    """A set has a common lower bound exactly when some element lies below
+    each member, and a restriction keeps the order between the kept
+    elements, both read from the up rows alone."""
+    items = data.draw(st.lists(st.sampled_from(p.elements), unique=True))
+    bounded = any(all(p.leq_matrix[r, p.index[e]] for e in items) for r in range(len(p)))
+    assert posets.common_lower_bound_exists(p, items) == bounded
+    q = p.restrict(set(items) | {p.top})
+    assert q.elements == tuple(e for e in p.elements if e in items or e == p.top)
+    for a in q.elements:
+        for b in q.elements:
+            assert q.leq(a, b) == p.leq(a, b)
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_restriction_matches_the_order_on_multiword_rows(n):
+    p = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, n).T), 0)
+    rng = np.random.default_rng(n)
+    keep = [e for e in range(n) if e == 0 or rng.random() < 0.6]
+    ids = np.array(keep)
+    assert (p.restrict(keep).leq_matrix == p.leq_matrix[np.ix_(ids, ids)]).all()
 
 
 class _Owner:
@@ -487,7 +513,6 @@ def test_from_relation_is_the_closure(n, data):
     if expected is None:
         p = FinitePoset.from_relation(range(n), relation, top=0)
         assert (p._up == pack_rows(closed)).all()
-        assert (p._down == pack_rows(closed.T)).all()
         assert (p.leq_matrix == closed).all()
     else:
         with pytest.raises(ValueError, match=expected):
@@ -717,8 +742,8 @@ def test_gathered_blocks_stay_within_the_table_and_the_cap(cap, cohen_fsi, monke
 
 def test_validating_the_k5_order_allocates_at_most_twice_its_rows(cohen_fsi):
     """Validation of the k = 5 P*|L (1024 conditions) allocates at most
-    twice its packed up and down rows: no kernel gathers more than the
-    table it reads."""
+    twice its packed up and down rows, four times the up rows it keeps: no
+    kernel gathers more than the table it reads."""
     it = cohen_fsi(5)
     a = it.template.all_points()
     elements = it.members(a)
@@ -729,7 +754,7 @@ def test_validating_the_k5_order_allocates_at_most_twice_its_rows(cohen_fsi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (p._up.nbytes + p._down.nbytes)
+    assert peak <= 4 * p._up.nbytes
 
 
 @pytest.mark.parametrize("doc", ["fsi4", "case2"])
@@ -741,9 +766,33 @@ def test_identical_pair_matches_a_copy(doc, cohen_fsi, monkeypatch):
     real = posets._compare_cells
     monkeypatch.setattr(posets, "_compare_cells", lambda sub, sup, *rest: compared.append((sub, sup)) or real(sub, sup, *rest))
     for p in _lattice(cohen_fsi(4) if doc == "fsi4" else fixtures.case2_fixture()[0]):
-        q = FinitePoset(p.elements, p._down.copy(), p.top)
+        q = FinitePoset(p.elements, _transpose(p._up, len(p)), p.top)
         same, copy = _embedding(p, p), _embedding(p, q)
         assert same[0] == copy[0] and same[0].ok
         assert (same[1] == copy[1]).all() and (same[2] == copy[2]).all()
         assert compared[-1] == (p, q)
     assert all(sub is not sup for sub, sup in compared)
+
+
+@pytest.mark.parametrize("doc", ["fsi4", "case2"])
+def test_a_poset_keeps_one_order_table(doc, cohen_fsi, monkeypatch):
+    """After all six checks, every poset built holds no down rows, and its
+    only packed n-row tables are its up rows, its compat rows and its
+    minimal-below rows, which take a word per 64 minimal elements, not per
+    64 elements."""
+    built = []
+    init = FinitePoset.__init__
+    monkeypatch.setattr(FinitePoset, "__init__", lambda self, *args: init(self, *args) or built.append(self))
+    it, names = (cohen_fsi(4), None) if doc == "fsi4" else fixtures.case2_fixture()
+    assert all(r.passed for r in run_checks(it, names))
+    narrow = 0
+    for p in built:
+        n, m = len(p), int(p._minimal.sum())
+        tables = {name: v.shape for name, v in vars(p).items()
+                  if isinstance(v, np.ndarray) and v.dtype == np.uint64}
+        assert "_down" not in vars(p)
+        assert tables.keys() <= {"_up", "_compat_words", "_minimal_below"}
+        assert tables["_up"] == tables.get("_compat_words", (n, -(-n // 64))) == (n, -(-n // 64))
+        assert tables.get("_minimal_below", (n, -(-m // 64))) == (n, -(-m // 64))
+        narrow += "_minimal_below" in tables and -(-m // 64) < -(-n // 64)
+    assert narrow
