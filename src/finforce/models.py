@@ -18,7 +18,7 @@ pair: a prefix table over stems serves `cohen` as its whole order, and
 The admissible filters are read off the same tables, so building a model
 never calls its relation E; the validator's E-characterization check then
 compares E with a table that was not built from it.  The linked check
-reads one block of `compat_matrix` per linked block.
+reads `compat_matrix` once, at its first block with two members.
 """
 
 from __future__ import annotations
@@ -137,14 +137,16 @@ def validate_borel_model(m: BorelPosetModel) -> list[ModelViolation]:
                     )
                 )
 
-    covered = set()
+    covered, compat = set(), None
     for block in m.linked_partition:
         covered |= block
         members = sorted(block, key=m.poset.index.__getitem__)
-        # singleton blocks (all of cohen's) have no pairs and need no compat_matrix
+        # singleton blocks (all of cohen's) have no pairs and need no compat_matrix;
+        # the first block with pairs reads it, once for the model
         if len(members) > 1:
             ids = [m.poset.index[p] for p in members]
-            apart = ~m.poset.compat_matrix[np.ix_(ids, ids)]
+            compat = m.poset.compat_matrix if compat is None else compat
+            apart = ~compat[np.ix_(ids, ids)]
             # row-major order of the upper triangle is itertools.combinations order
             for i, j in zip(*np.nonzero(np.triu(apart, 1))):
                 a, b = members[i], members[j]

@@ -12,12 +12,13 @@ exactly as long as it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import numpy as np
 
-from .posets import FinitePoset, memoized
+from .posets import FinitePoset, _cells, compatible, memoized
 
 Element = Hashable
 
@@ -48,13 +49,7 @@ def decide_forces_value(
     m; 'refutes' iff none does; 'undecided' otherwise."""
     if n >= name.length:
         raise IndexError(f"coordinate {n} out of range for a length-{name.length} name")
-    ci = p.index[cond]
-    compat = p.compat_matrix
-    seen = [
-        name.values[n][k]
-        for k, q in enumerate(name.antichains[n])
-        if compat[ci, p.index[q]]
-    ]
+    seen = [v for q, v in zip(name.antichains[n], name.values[n]) if compatible(p, cond, q)]
     if all(v == m for v in seen):
         return "forces"
     if all(v != m for v in seen):
@@ -68,7 +63,8 @@ def _selector_tuples(
 ) -> frozenset[tuple[int, ...]]:
     """All value tuples realizable by selectors through the first k
     antichains that have a common lower bound together with cond."""
-    down = p.leq_matrix
+    ids = np.array([p.index[q] for q in (cond, *itertools.chain(*name.antichains[:k]))])
+    down = dict(zip(ids.tolist(), _cells(p._up, ids).T))  # the down-set of each element read
     out: set[tuple[int, ...]] = set()
 
     def rec(i: int, below: np.ndarray, vals: tuple[int, ...]):
@@ -76,11 +72,11 @@ def _selector_tuples(
             out.add(vals)
             return
         for j, q in enumerate(name.antichains[i]):
-            nb = below & down[:, p.index[q]]
+            nb = below & down[p.index[q]]
             if nb.any():
                 rec(i + 1, nb, vals + (name.values[i][j],))
 
-    rec(0, down[:, p.index[cond]].copy(), ())
+    rec(0, down[p.index[cond]], ())
     return frozenset(out)
 
 

@@ -13,8 +13,9 @@ boolean matrix as uint64 words, 64 cells to a word with zero padding, so
 a row of an n-element poset takes 8 * ceil(n / 64) bytes, about n / 8.  A
 poset is built from packed down-set rows and validation transposes them
 once into its up-sets (`_transpose`), so no dense n x n matrix lies on
-the way in.  It keeps the up rows, its one order table, and the mask of
-its minimal elements, not the down rows.  Every kernel is an OR or AND
+the way in.  It keeps the up rows, its one order table, the mask of its
+minimal elements and, once read, the n x m table of the m minimal
+elements below each element; no other table.  Every kernel is an OR or AND
 of packed rows selected by the bits of another packed row
 (`_reduce_rows`), or, for transitivity, a test of single words.  A
 kernel touches n / 8 bytes per selected row:
@@ -27,12 +28,15 @@ kernel touches n / 8 bytes per selected row:
   |up b| * |down b| tests.  On the FSI ladder the second costs
   64 * (4/9)^k times the first, so k <= 5 keeps the packed kernel and
   k >= 6 tests chains (k = 7: 0.75 s against 2.8 s);
-- compatibility: row i is the OR of the up rows of the minimal elements
-  below i (anything else below i is above one of them), listed by an n x m
-  table of the m minimal elements: n / 8 bytes per such (minimal, i) pair;
+- compatibility: a and b are compatible exactly when some minimal element
+  lies below both, so `compatible` ANDs two rows of the n x m table, and
+  compat row i, formed only at the rows a caller reads (`_compat_rows`),
+  is the OR of the up rows of the minimal elements below i: n / 8 bytes
+  per such (minimal, i) pair;
 - reductions of sub in sup: row r is the AND of the compatibility rows in
   sup of the minimal elements of sub below r (compatibility grows with
-  the element), n_sup / 8 bytes per such pair;
+  the element), formed per pair at those m_sub rows: n_sup / 8 bytes per
+  such pair;
 - a correct system: the rows of P0 of two reduction matrices and one
   mask, 3 * |P0| * |Q1| / 8 bytes.
 Every kernel works in blocks that hold at most min(the words of the
@@ -47,17 +51,16 @@ The cap is 1 MiB: on a 2-CPU Xeon with 2 MiB of L2 per core, the
 compatibility rows of the k = 7 P*|L took 0.27-0.35 s in 1 MiB blocks
 against 0.42-0.45 s in 2 MiB and 0.8 s in 32 MiB ones, and the
 transitivity kernels varied within noise between 256 KiB and 2 MiB.
-Dense boolean matrices are unpacked only where callers read cells:
-`leq_matrix` on first use (then kept), `compat_matrix` on every read.  The
-embedding check reads the cells it compares from the packed rows a block
-at a time, and a poset checked against itself reads none, so at k = 7 no
-poset of the subset lattice keeps a dense matrix, and the pair (L, L)
-unpacks no compat matrix.
+Dense boolean matrices are unpacked only where callers read cells, and
+on every read: `leq_matrix` and `compat_matrix`.  The embedding check
+reads the cells it compares from the packed rows a block at a time, and a
+poset checked against itself reads none, so no poset keeps a dense
+matrix, and the pair (L, L) unpacks no compat matrix.
 
-A poset caches what is derived from it alone: its packed compatibility
-and minimal-below rows, the embedding report, sub-to-sup index array and
-packed reduction matrix of each sub poset checked against it
-(`check_complete_embedding_posets`), and the forcing answers of `names`.
+A poset caches what is derived from it alone: its minimal-below rows,
+the embedding report, sub-to-sup index array and packed reduction matrix
+of each sub poset checked against it (`check_complete_embedding_posets`),
+and the forcing answers of `names`.
 `check_correct_system` reads everything it needs from those per-pair
 entries and multiplies no matrices.  The caching is sound because a poset
 never changes after construction (its packed rows are write-protected)
@@ -302,7 +305,8 @@ class FinitePoset:
     ``down`` holds the down-sets as `pack_rows` lays them out, bit i of row
     j set when ``elements[i] <= elements[j]``.  The order is checked to be
     reflexive, transitive and antisymmetric, and the top must be the
-    maximum.  The poset keeps the up rows and the minimal mask, not ``down``.
+    maximum.  It keeps ``_up``, ``_minimal`` and, once read, ``_minimal_below``,
+    not ``down``; every order and compatibility cell is read from them.
     """
 
     def __init__(self, elements: Sequence[Element], down: np.ndarray, top: Element):
@@ -319,8 +323,10 @@ class FinitePoset:
         up = _transpose(down, n)
         if not _transitive(up, down):
             raise ValueError("order is not transitive")
-        # the only element both above and below i is i itself: n cells
-        if np.bitwise_count(up & down).sum() != n:
+        # the only element both above and below i is i itself: n cells, counted by blocks of rows
+        step = max(_budget(up) // up.shape[1], 1)
+        if sum(int(np.bitwise_count(up[lo:lo + step] & down[lo:lo + step]).sum())
+               for lo in range(0, n, step)) != n:
             raise ValueError("order is not antisymmetric")
         below = np.bitwise_count(down).sum(axis=1)
         if below[elements.index(top)] != n:
@@ -357,28 +363,18 @@ class FinitePoset:
         return e in self.index
 
     def leq(self, a: Element, b: Element) -> bool:
-        return bool(self.leq_matrix[self.index[a], self.index[b]])
+        return _bit(self._up, self.index[a], self.index[b])
 
-    @functools.cached_property
+    @property
     def leq_matrix(self) -> np.ndarray:
-        """leq[i, j] iff elements[i] <= elements[j], unpacked on first use."""
-        leq = unpack_rows(self._up, len(self))
-        leq.setflags(write=False)
-        return leq
+        """leq[i, j] iff elements[i] <= elements[j], unpacked on every read."""
+        return unpack_rows(self._up, len(self))
 
     @property
     def compat_matrix(self) -> np.ndarray:
-        """compat[i, j] iff some r lies below both i and j, unpacked from the
-        packed rows on every read (a poset keeps only those)."""
-        return unpack_rows(self._compat_words, len(self))
-
-    @functools.cached_property
-    def _compat_words(self) -> np.ndarray:
-        """`compat_matrix` as packed rows: row i is the OR of the up-sets of
-        the minimal elements below i."""
-        words = _reduce_rows(np.bitwise_or, self._up, self._minimal_below, np.flatnonzero(self._minimal))
-        words.setflags(write=False)
-        return words
+        """compat[i, j] iff some r lies below both i and j, formed and
+        unpacked on every read."""
+        return unpack_rows(_compat_rows(self, np.arange(len(self))), len(self))
 
     @functools.cached_property
     def _minimal_below(self) -> np.ndarray:
@@ -391,11 +387,10 @@ class FinitePoset:
 
     def upset(self, e: Element) -> frozenset:
         i = self.index[e]
-        return frozenset(b for b, ok in zip(self.elements, self.leq_matrix[i]) if ok)
+        return frozenset(itertools.compress(self.elements, unpack_rows(self._up[i:i + 1], len(self))[0]))
 
     def downset(self, e: Element) -> frozenset:
-        i = self.index[e]
-        return frozenset(a for a, ok in zip(self.elements, self.leq_matrix[:, i]) if ok)
+        return frozenset(itertools.compress(self.elements, _cells(self._up, [self.index[e]])[:, 0]))
 
     def restrict(self, subset: Iterable[Element]) -> "FinitePoset":
         keep = set(subset)
@@ -405,8 +400,14 @@ class FinitePoset:
 
 
 def compatible(p: FinitePoset, a: Element, b: Element) -> bool:
-    """True iff a and b have a common lower bound."""
-    return _bit(p._compat_words, p.index[a], p.index[b])
+    """True iff a and b have a common lower bound: a minimal one."""
+    return bool((p._minimal_below[p.index[a]] & p._minimal_below[p.index[b]]).any())
+
+
+def _compat_rows(p: FinitePoset, ids: np.ndarray) -> np.ndarray:
+    """The packed compatibility rows of p at ``ids``: row i is the OR of
+    the up rows of the minimal elements below ids[i]."""
+    return _reduce_rows(np.bitwise_or, p._up, p._minimal_below[ids], np.flatnonzero(p._minimal))
 
 
 def common_lower_bound_exists(p: FinitePoset, items: Iterable[Element]) -> bool:
@@ -501,7 +502,8 @@ def _compare_cells(sub: FinitePoset, sup: FinitePoset, ids: np.ndarray, failures
     """Append the first order mismatches and lost incompatibilities of sub
     against sup, whose index of each element of sub is ``ids``.  Both read
     sup's rows at ids and the columns of ids, a block of rows (at most
-    `_BLOCK_WORDS` * 8 cells) at a time, against sub's dense compat matrix."""
+    `_BLOCK_WORDS` * 8 cells) at a time, against sub's dense compat matrix;
+    sup's compat rows are ORs of its minimal up rows read at ids only."""
     n = len(sub)
     step = max(_BLOCK_WORDS * 8 // n, 1)
 
@@ -512,9 +514,11 @@ def _compare_cells(sub: FinitePoset, sup: FinitePoset, ids: np.ndarray, failures
         below = _bit(sub._up, i, j)
         failures.append(("order-mismatch", sub.elements[i], sub.elements[j], below, not below))
     sub_compat = sub.compat_matrix
+    minimal_up = pack_rows(_cells(sup._up[sup._minimal], ids))
 
     def compat_lost(lo, hi):
-        return ~sub_compat[lo:hi] & _cells(sup._compat_words[ids[lo:hi]], ids)
+        sup_compat = _reduce_rows(np.bitwise_or, minimal_up, sup._minimal_below[ids[lo:hi]])
+        return ~sub_compat[lo:hi] & unpack_rows(sup_compat, n)
 
     for i, j in _first_cells(n, step, compat_lost):
         failures.append(("incompatibility-lost", sub.elements[i], sub.elements[j]))
@@ -535,7 +539,7 @@ def _check_embedding(
         return EmbeddingReport(False, failures), ids, None
     # red[r]: the q of sup compatible in sup with every extension e <= r
     # inside sub, packed; the minimal e below r suffice
-    red = _reduce_rows(np.bitwise_and, sup._compat_words, sub._minimal_below, ids[sub._minimal])
+    red = _reduce_rows(np.bitwise_and, _compat_rows(sup, ids[sub._minimal]), sub._minimal_below)
     red.setflags(write=False)
     reduced = unpack_rows(np.bitwise_or.reduce(red, axis=0, keepdims=True), len(sup))[0]
     unreduced = np.flatnonzero(~reduced)

@@ -121,7 +121,8 @@ class TestGenericFilters:
         assert filter_defect(c, _mask(c, g)).kind == "not-minimal"
 
 
-def random_poset_strategy():
+def random_order_strategy():
+    """The closed order relation of a random poset on range(n) with top 0."""
     @st.composite
     def build(draw):
         n = draw(st.integers(min_value=1, max_value=6))
@@ -133,9 +134,13 @@ def random_poset_strategy():
         for _ in range(n):
             leq = leq | (leq @ leq)
         leq[:, 0] = True  # 0 is the top
-        return FinitePoset(tuple(range(n)), pack_rows(leq.T), 0)
+        return leq
 
     return build()
+
+
+def random_poset_strategy():
+    return random_order_strategy().map(lambda leq: FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,17 +556,30 @@ def _compat_reference(p):
     return _int_product(p.leq_matrix.T, p.leq_matrix)
 
 
+def _assert_cells_match(p, leq):
+    """Every order and compatibility query of p agrees with the closed
+    relation ``leq`` and its integer product."""
+    compat = _int_product(leq.T, leq)
+    assert (p.leq_matrix == leq).all() and (p.compat_matrix == compat).all()
+    for i, a in enumerate(p.elements):
+        assert p.upset(a) == {p.elements[j] for j in np.flatnonzero(leq[i])}
+        assert p.downset(a) == {p.elements[j] for j in np.flatnonzero(leq[:, i])}
+        for j, b in enumerate(p.elements):
+            assert p.leq(a, b) == leq[i, j] and compatible(p, a, b) == compat[i, j]
+
+
 @settings(max_examples=80, deadline=None)
-@given(random_poset_strategy())
-def test_compat_matches_integer_product(p):
-    assert (p.compat_matrix == _compat_reference(p)).all()
+@given(random_order_strategy())
+def test_compat_matches_integer_product(leq):
+    _assert_cells_match(FinitePoset(tuple(range(len(leq))), pack_rows(leq.T), 0), leq)
 
 
 @pytest.mark.parametrize("n", [64, 65, 200])
 def test_compat_matches_integer_product_on_multiword_rows(n, monkeypatch):
-    p = FinitePoset(tuple(range(n)), pack_rows(_random_order(n, n + 1).T), 0)
+    leq = _random_order(n, n + 1)
+    p = FinitePoset(tuple(range(n)), pack_rows(leq.T), 0)
     monkeypatch.setattr(posets, "_BLOCK_WORDS", 7)  # many gather blocks
-    assert (p.compat_matrix == _compat_reference(p)).all()
+    _assert_cells_match(p, leq)
 
 
 def _assert_reductions_match(sub, sup):
@@ -703,7 +721,7 @@ def _kernel_rows(lattice):
     of each nested pair, every pair embedding completely."""
     out = []
     for sup in lattice:
-        out.append(sup._compat_words)
+        out.append(pack_rows(sup.compat_matrix))
         for sub in lattice:
             if set(sub.elements) <= set(sup.elements):
                 assert check_complete_embedding_posets(sub, sup).ok
@@ -757,6 +775,25 @@ def test_validating_the_k5_order_allocates_at_most_twice_its_rows(cohen_fsi):
     assert peak <= 4 * p._up.nbytes
 
 
+def test_building_the_k6_order_holds_its_rows_and_a_block_of_cells(cohen_fsi, monkeypatch):
+    """Validation of the k = 6 P*|L (4096 conditions, 2 MiB of up rows),
+    in blocks of 4096 words, stays under 1.75 times the up rows it keeps:
+    the antisymmetry count, like the transitivity kernels, reads the up and
+    down rows a block at a time instead of forming a third table."""
+    it = cohen_fsi(6)
+    a = it.template.all_points()
+    elements = it.members(a)
+    down = it._order_matrix(a, elements)
+    monkeypatch.setattr(posets, "_BLOCK_WORDS", 1 << 12)
+    tracemalloc.start()
+    try:
+        p = FinitePoset(elements, down, EMPTY_CONDITION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * p._up.nbytes
+
+
 @pytest.mark.parametrize("doc", ["fsi4", "case2"])
 def test_identical_pair_matches_a_copy(doc, cohen_fsi, monkeypatch):
     """A poset checked against itself reads no cells, yet gives what a
@@ -776,8 +813,9 @@ def test_identical_pair_matches_a_copy(doc, cohen_fsi, monkeypatch):
 
 @pytest.mark.parametrize("doc", ["fsi4", "case2"])
 def test_a_poset_keeps_one_order_table(doc, cohen_fsi, monkeypatch):
-    """After all six checks, every poset built holds no down rows, and its
-    only packed n-row tables are its up rows, its compat rows and its
+    """After all six checks, every poset built, model posets whose `leq`
+    the stage orders read included, holds no down rows, no compat rows and
+    no dense n x n matrix: its only packed tables are its up rows and its
     minimal-below rows, which take a word per 64 minimal elements, not per
     64 elements."""
     built = []
@@ -788,11 +826,10 @@ def test_a_poset_keeps_one_order_table(doc, cohen_fsi, monkeypatch):
     narrow = 0
     for p in built:
         n, m = len(p), int(p._minimal.sum())
-        tables = {name: v.shape for name, v in vars(p).items()
-                  if isinstance(v, np.ndarray) and v.dtype == np.uint64}
-        assert "_down" not in vars(p)
-        assert tables.keys() <= {"_up", "_compat_words", "_minimal_below"}
-        assert tables["_up"] == tables.get("_compat_words", (n, -(-n // 64))) == (n, -(-n // 64))
+        arrays = {name: v for name, v in vars(p).items() if isinstance(v, np.ndarray)}
+        tables = {name: v.shape for name, v in arrays.items() if v.dtype == np.uint64}
+        assert tables.keys() <= {"_up", "_minimal_below"} and tables["_up"] == (n, -(-n // 64))
         assert tables.get("_minimal_below", (n, -(-m // 64))) == (n, -(-m // 64))
+        assert not any(v.dtype == bool and v.shape == (n, n) for v in arrays.values())
         narrow += "_minimal_below" in tables and -(-m // 64) < -(-n // 64)
     assert narrow
