@@ -14,7 +14,9 @@ per batch: a node's value is a bit vector over the points, connectives are
 bitwise operations, a bit-atom is one column of the points, and an E-atom
 evaluates its table once and calls E once per distinct (generic value,
 condition).  A point raises exactly what short-circuit evaluation at that
-point alone would raise; a single point is the batch of one.
+point alone would raise; a single point is the batch of one.  The results
+of a code keep the batch's bit vector itself (`BitResults`), so a caller
+can compare whole rows of bits, as the main theorem check does.
 
 Equality used by the verification layer is semantic (exhaustive evaluation
 over finite tuple spaces), never syntactic.  Codes serialize to
@@ -138,11 +140,39 @@ class Results(Sequence):
         return len(self.values)
 
     def __getitem__(self, i: int):
-        i = range(len(self.values))[i]
+        i = range(len(self))[i]
         for mask, exc in self.errors:
             if mask >> i & 1:
                 raise exc
+        return self._value(i)
+
+    def _value(self, i: int):
         return self.values[i]
+
+    def agrees(self, other: "Results") -> bool:
+        """No point raised in either, and every point has one value in both."""
+        return not (self.errors or other.errors) and self.values == other.values
+
+
+class BitResults(Results):
+    """The results of a code: ``bits`` is the batch's bit vector, bit i the
+    value at point i (0 where evaluation raised), and ``values`` its bools."""
+
+    def __init__(self, bits: int, size: int, errors: list):
+        self.bits, self.size, self.errors = bits, size, errors
+
+    @property
+    def values(self) -> list[bool]:
+        return [self.bits >> i & 1 == 1 for i in range(self.size)]
+
+    def __len__(self):
+        return self.size
+
+    def _value(self, i: int) -> bool:
+        return self.bits >> i & 1 == 1
+
+    def agrees(self, other: "BitResults") -> bool:
+        return not (self.errors or other.errors) and self.bits == other.bits
 
 
 def _bits(mask: int):
@@ -321,12 +351,12 @@ def _value_table(f: FCode):
 
 
 def eval_code(code: BorelCode, points, strict: bool = True):
-    """Standard boolean semantics of a code: `Results` with one bool per
+    """Standard boolean semantics of a code: `BitResults`, one bool per
     point of the batch ``points``; a single `TuplePoint` gives its bool."""
 
-    def evaluate(batch: Batch) -> Results:
+    def evaluate(batch: Batch) -> BitResults:
         value, _, errors = batch.node(code, strict)
-        return Results([value >> i & 1 == 1 for i in range(len(batch))], errors)
+        return BitResults(value, len(batch), errors)
 
     return _evaluate(points, evaluate)
 

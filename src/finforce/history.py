@@ -9,7 +9,9 @@ components restricted to the W-sets.
 
 Canonical histories are memoized per (A, p); a member of a built table
 cuts to its restriction, the smaller table's own object, so the recursion
-finds that restriction's history already memoized.  Tuple spaces are
+finds that restriction's history already memoized.  Every history is made
+by `_history`, one object per value per iteration, so the 5^k pairs (A, p)
+of a k-stage FSI share the few histories they have.  Tuple spaces are
 memoized per history.
 """
 
@@ -52,6 +54,12 @@ class History:
 
 
 EMPTY_HISTORY = History(frozenset(), ())
+
+
+@memoized
+def _history(it: SimpleIteration, points: frozenset, w: tuple) -> History:
+    """The history (points, w): one object per value per iteration."""
+    return History(points, w)
 
 
 def _merge_w(
@@ -103,10 +111,10 @@ def _history_of_condition(
         a2 = it.canonical_context(a, p)
     h_rest = _canonical_history(it, a2, p.before(x, it.rank))
     if it.assignments[x].kind == "C":
-        return History(h_rest.points | {x}, _merge_w(it.rank, h_rest.w, ((x, frozenset({int(entry)})),)))
+        return _history(it, h_rest.points | {x}, _merge_w(it.rank, h_rest.w, ((x, frozenset({int(entry)})),)))
     h_entry = history_of_entry(it, a2, entry)
     w = _merge_w(it.rank, h_rest.w, h_entry.w) if h_entry.w else h_rest.w
-    return History(h_rest.points | h_entry.points | {x}, w)
+    return _history(it, h_rest.points | h_entry.points | {x}, w)
 
 
 def history_of_entry(it: SimpleIteration, a: Subset, entry: Entry) -> History:
@@ -136,7 +144,7 @@ def _history_of_members(it: SimpleIteration, a: Subset, members: Iterable[Condit
         h = _canonical_history(it, a, q)
         points |= h.points
         w = _merge_w(it.rank, w, h.w)
-    return History(points, w)
+    return _history(it, points, w)
 
 
 @dataclass(frozen=True)

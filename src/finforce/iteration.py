@@ -39,6 +39,13 @@ Each recursion step is memoized per iteration with `posets.memoized`, in
 the iteration's one ``_memo``; `synth` and `history` keep their memos
 there too.  Conditions, table names and generic sequences are the keys of
 those memos, so each computes its hash once (`_hash_once`).
+
+What the tables keep exists once per iteration: a condition is one object
+in every member table and filter table that holds it (`_extension`), and
+its domain is one object per point set (`_domain_with`).  A constant name
+is one object per (model, element), kept with the model
+(`model_constant`).  A condition read from a literal computes its own
+domain, so the single-condition path looks up none of these tables.
 """
 
 from __future__ import annotations
@@ -138,7 +145,8 @@ def _hash_once(cls):
 class Condition:
     """A finite partial map from points to entries, kept rank-sorted.  One
     built by `extended` keeps the condition it extends as ``_rest``, its
-    restriction below its maximum; like the cached hash, it is not pickled."""
+    restriction below its maximum, and the domain object it was given; like
+    the cached hash, neither is pickled."""
 
     entries: tuple[tuple[Point, Entry], ...]
 
@@ -168,10 +176,12 @@ class Condition:
             p = p._rest
         return p
 
-    def extended(self, x: Point, e: Entry) -> "Condition":
-        """This condition with the entry e at x, a point above its domain."""
+    def extended(self, x: Point, e: Entry, domain: frozenset) -> "Condition":
+        """This condition with the entry e at x, a point above its domain;
+        ``domain`` is the new condition's domain, this one's with x."""
         p = Condition(self.entries + ((x, e),))
         p.__dict__["_rest"] = self
+        p.__dict__["domain"] = domain
         return p
 
     def __str__(self):
@@ -220,6 +230,14 @@ def const_name(value: Any, label: str = "") -> DecisionTableName:
         table=(value,),
         label=label or f"const:{_value_label(value)}",
     )
+
+
+@memoized
+def model_constant(model: BorelPosetModel, v: Any) -> DecisionTableName:
+    """The constant name of the element v of a model, one object per
+    (model, element), kept with the model: a document's literals and its
+    iteration's palettes share it."""
+    return const_name(v)
 
 
 def _value_label(v: Any) -> str:
@@ -371,11 +389,7 @@ class SimpleIteration:
             palette = [TRIV]
             if asg.include_constants:
                 top = asg.model.poset.top
-                palette += [
-                    const_name(v)
-                    for v in asg.model.poset.elements
-                    if v != top
-                ]
+                palette += [model_constant(asg.model, v) for v in asg.model.poset.elements if v != top]
             palette += sorted(asg.extra_entries, key=lambda n: n.label)
         return palette
 
@@ -516,12 +530,14 @@ class SimpleIteration:
 
         Filter membership is the AND of its entries' memberships, so each
         distinct (point, entry) of ``conds`` is decided once per generic, by
-        `member_of_filter` on the one-entry condition, and a condition's
+        `member_of_filter` on the one-entry condition (the iteration's one
+        object for it, `_extension` of the empty condition), and a condition's
         row is the OR of its entries' packed rows of misses."""
         items: dict[tuple[Point, Entry], int] = {}
         index = [items.setdefault(item, len(items)) for p in conds for item in p.entries]
+        singles = [self._extension(EMPTY_CONDITION, *item) for item in items]
         misses = np.array(
-            [[not self.member_of_filter(z, Condition((item,))) for z in gens] for item in items],
+            [[not self.member_of_filter(z, single) for z in gens] for single in singles],
             dtype=bool,
         ).reshape(len(items), len(gens))
         missed = _reduce_segments(np.bitwise_or, pack_rows(misses), np.array(index, dtype=np.intp),
@@ -659,7 +675,8 @@ class SimpleIteration:
         each point x walks the trace sets A' once, in canonical order, and
         joins the members of A' (this table, one subset down) with the
         palette entries valid over A'; the A' that give a condition are its
-        `entry_contexts`, recorded as they are found."""
+        `entry_contexts`, recorded as they are found.  A condition is the
+        same object in every table that holds it (`_extension`)."""
         out = [EMPTY_CONDITION]
         for x in self.points_of(a):
             palette = self.entry_palette(x)
@@ -671,11 +688,24 @@ class SimpleIteration:
                         for e in valid:
                             contexts[r, e].append(a2)
             for (r, e), found in contexts.items():
-                p = r.extended(x, e)
+                p = self._extension(r, x, e)
                 SimpleIteration.entry_contexts.record(self, (a, p), tuple(found))
                 out.append(p)
         out.sort(key=self._condition_key)
         return tuple(out)
+
+    @memoized
+    def _extension(self, r: Condition, x: Point, e: Entry) -> Condition:
+        """r with the entry e at x, a point above its domain: one object per
+        condition of this iteration, whichever table asks for it, with one
+        domain object per point set (`_domain_with`)."""
+        return r.extended(x, e, self._domain_with(r.domain, x))
+
+    @memoized
+    def _domain_with(self, domain: frozenset, x: Point) -> frozenset:
+        """domain with x, a point above it.  A point set has one such
+        (domain, x), its maximum and the rest, so it is one object."""
+        return domain | {x}
 
     def _condition_key(self, p: Condition):
         return (

@@ -24,7 +24,8 @@ reads `compat_matrix` once, at its first block with two members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -56,6 +57,9 @@ class BorelPosetModel:
     admissible: tuple[AdmissibleFilter, ...]
     linked_partition: tuple[frozenset, ...]
     centered: bool = False
+    # answers kept for this model by `posets.memoized` functions, such as
+    # `iteration.model_constant`
+    _memo: defaultdict = field(default_factory=lambda: defaultdict(dict), init=False, repr=False)
 
     def E(self, z: GenericValue, p) -> bool:
         return self.relation(z, p)

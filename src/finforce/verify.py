@@ -3,7 +3,9 @@
 Every check enumerates admissible generic sequences, realizes induced
 filters directly from the coordinate-wise rule, and compares against the
 synthesized codes (or recomputed histories), recording failures with full
-witnesses in a machine-readable report.  Checks over distinct sequences
+witnesses in a machine-readable report.  The main theorem compares two bit
+matrices, conditions by generics: where the codes hold (and raise), and
+the induced filters.  Checks over distinct sequences
 are independent; reports canonicalize witness order so repeated runs are
 byte-identical apart from timing.
 
@@ -19,7 +21,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import groupby
+
+import numpy as np
 
 from .codes import Batch, IllFormedComposition, eval_code, eval_fcode_detailed
 from .history import (
@@ -159,28 +163,31 @@ def verify_main_theorem(
     # each generic is projected once per distinct tuple space, and every
     # code of a space is evaluated over that space's projections in one batch
     batch_of = _batch_per_space(it, lambda t: [restrict_tuple(zbar, t) for zbar in gens])
-    membership = {
-        p: eval_code(synth_E(it, full, p), batch_of(history_of_condition(it, full, p)), strict=True)
-        for p in poset.elements
-    }
+    # per condition, a row of bits over the generics where its code holds and
+    # one where its evaluation raises; only the results that raise are kept
+    n, width = len(poset.elements), -(-len(gens) // 8)
+    holds, raises, raising = bytearray(), bytearray(), {}
+    for i, p in enumerate(poset.elements):
+        res = eval_code(synth_E(it, full, p), batch_of(history_of_condition(it, full, p)), strict=True)
+        err = 0
+        for mask, _ in res.errors:
+            err |= mask
+        if err:
+            raising[i] = res
+        holds += res.bits.to_bytes(width, "little")
+        raises += err.to_bytes(width, "little")
     evaluations = [
         (label, name, eval_fcode_detailed(synth_F(it, full, name),
                                           batch_of(history_of_name(it, full, name)), strict=True))
         for label, name in names.items()
     ]
 
-    # per generic, the conditions whose code holds there and those whose
-    # evaluation raises there; only these and the filter's members can differ
-    holds = [set() for _ in gens]
-    raises = [set() for _ in gens]
-    for p, res in membership.items():
-        for j in compress(range(len(gens)), res.values):
-            holds[j].add(p)
-        for mask, _ in res.errors:
-            for j in range(len(gens)):
-                if mask >> j & 1:
-                    raises[j].add(p)
-    position = {p: i for i, p in enumerate(poset.elements)}
+    # the cells where the code and the induced filter (the generic's column
+    # of the filter table) differ, or the code raises: the only failures
+    column, table = it.induced_filters(full)
+    inside = np.packbits(table[:, [column[z] for z in gens]], axis=1, bitorder="little")
+    holds, raises = (np.frombuffer(bytes(m), dtype=np.uint8).reshape(n, width) for m in (holds, raises))
+    differ = np.unpackbits((holds ^ inside) | raises, axis=1, count=len(gens), bitorder="little")
 
     for j, zbar in enumerate(gens):
         try:
@@ -189,11 +196,13 @@ def verify_main_theorem(
             # no filter to compare against: the generic is the witness
             rep.failures.append(Failure("internal-error", "", "", str(zbar), "", str(exc)))
             continue
-        rep.checked += len(poset.elements)
-        for p in sorted((g ^ holds[j]) | raises[j], key=position.__getitem__):
+        rep.checked += n
+        for i in np.flatnonzero(differ[:, j]):
+            p = poset.elements[i]
             direct = p in g
             try:
-                via_code = membership[p][j]
+                # a code that decided the cell differs from the filter there
+                via_code = raising[i][j] if i in raising else not direct
             except IllFormedComposition as exc:
                 rep.failures.append(
                     Failure("ill-formed-composition", str(p), "", str(zbar), "", str(exc))
@@ -294,7 +303,7 @@ def _compare_with(reference, batch: Batch, evaluate):
         if not seen:
             seen.append(evaluate(reference, batch))
         ref, got = seen[0], evaluate(code, batch)
-        if ref.values == got.values and not (ref.errors or got.errors):
+        if ref.agrees(got):
             return None
         for i, pt in enumerate(batch.points):
             r, v = ref[i], got[i]

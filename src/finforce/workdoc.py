@@ -26,8 +26,8 @@ from .iteration import (
     SimpleIteration,
     SmallPosetSpec,
     SubposetSpec,
-    const_name,
     make_condition,
+    model_constant,
 )
 from .models import BorelPosetModel, cohen, ed, ed_naive, validate_borel_model
 from .names import RealName
@@ -171,7 +171,7 @@ def _parse_entry_literal(lit: Any, point: str, point_models: dict,
     if isinstance(lit, dict) and "const" in lit:
         model = point_models.get(point)
         _expect(model is not None, path, f"point {point} has no model for a constant")
-        return const_name(_element(model, lit["const"], path))
+        return model_constant(model, _element(model, lit["const"], path))
     if isinstance(lit, dict) and "entry" in lit:
         return _named(entry_names, lit["entry"], path)
     raise DocError(path, f"cannot read entry literal {lit!r}")

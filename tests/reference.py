@@ -1,14 +1,16 @@
 """Reference implementations that only the tests read: brute-force
 antichain and reduction predicates, the semantic forcing oracles over fully
-generic filters, and small accessors.  Nothing under ``src/`` calls them,
-so they live beside the tests that compare the library against them."""
+generic filters, the main theorem's membership comparison on sets, and
+small accessors.  Nothing under ``src/`` calls them, so they live beside
+the tests that compare the library against them."""
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from finforce.codes import FCode, free_components
-from finforce.history import TupleSpace
+from finforce.codes import FCode, IllFormedComposition, eval_code, free_components
+from finforce.history import TupleSpace, history_of_condition, restrict_tuple, tuple_space
+from finforce.iteration import IterationError, SimpleIteration, realize_filter
 from finforce.models import BorelPosetModel
 from finforce.names import RealName
 from finforce.posets import FinitePoset, admissible_filters_upsets, compatible, memoized
@@ -143,3 +145,44 @@ def free_components_fcode(f: FCode) -> tuple[frozenset, dict[Point, frozenset]]:
             for x, xs in b.items():
                 bits[x] = bits.get(x, frozenset()) | xs
     return frozenset(s_points), bits
+
+
+# ---------------------------------------------------------------------------
+# The main theorem's membership comparison, one set per generic
+
+
+def main_theorem_by_sets(it: SimpleIteration, synth_E, gens) -> list[tuple[str, str, str, str, str]]:
+    """The membership failures of the main theorem check over ``gens``, as
+    (kind, condition, zbar, expected, actual), compared on sets: per
+    generic, the conditions whose code holds there and those whose
+    evaluation raises there, against the realized filter, in poset order.
+    Each code is evaluated over its own list of projected points."""
+    full = it.template.all_points()
+    poset = it.build_poset(full)
+    membership = {}
+    for p in poset.elements:
+        space = tuple_space(it, history_of_condition(it, full, p))
+        membership[p] = eval_code(synth_E(it, full, p), [restrict_tuple(z, space) for z in gens], strict=True)
+    holds, raises = [set() for _ in gens], [set() for _ in gens]
+    for p, res in membership.items():
+        for j, value in enumerate(res.values):
+            if value:
+                holds[j].add(p)
+            if any(mask >> j & 1 for mask, _ in res.errors):
+                raises[j].add(p)
+    position = {p: i for i, p in enumerate(poset.elements)}
+    failures = []
+    for j, zbar in enumerate(gens):
+        try:
+            g = realize_filter(it, zbar)
+        except IterationError as exc:
+            failures.append(("internal-error", "", str(zbar), "", str(exc)))
+            continue
+        for p in sorted((g ^ holds[j]) | raises[j], key=position.__getitem__):
+            try:
+                via_code = membership[p][j]
+            except IllFormedComposition as exc:
+                failures.append(("ill-formed-composition", str(p), str(zbar), "", str(exc)))
+                continue
+            failures.append(("membership-code", str(p), str(zbar), str(p in g), str(via_code)))
+    return failures

@@ -13,7 +13,7 @@ import pytest
 import finforce
 from finforce import cli, verify, workdoc
 from finforce.cli import main
-from finforce.iteration import IterationError, SmallPosetSpec
+from finforce.iteration import DecisionTableName, IterationError, SmallPosetSpec
 from finforce.models import validate_borel_model
 from finforce.workdoc import DocError, _parse_small_poset, load_doc, parse_doc
 
@@ -610,3 +610,27 @@ class TestModelsValidatedOnDemand:
                     | {id(doc.iteration), id(doc.iteration.template)})
 
         assert not built(first) & built(second)
+
+    @pytest.mark.parametrize("name", ["i1.json", "fsi2_cohen_c.json", "case2.json"])
+    def test_one_constant_name_per_model_element(self, name):
+        """The constant literals of a load and its iteration's palettes hold
+        one constant name per (model, element); two loads share none."""
+
+        def constants(doc):
+            it = doc.iteration
+            tables = [n for x in it.template.points for n in
+                      (it.assignments[x].qname,) + it.assignments[x].extra_entries
+                      + it.assignments[x].widened_entries if n is not None]
+            literals = [q for n in tables for q in n.antichain]
+            literals += [q for n in doc.names.values() for antichain in n.antichains for q in antichain]
+            found = [(x, e) for x in it.template.points for e in it.entry_palette(x)]
+            found += [item for q in literals for item in q.entries]
+            return [(doc.point_models[x], e) for x, e in found
+                    if isinstance(e, DecisionTableName) and e.is_constant()]
+
+        first, second = load_doc(doc_path(name)), load_doc(doc_path(name))
+        objects: dict = {}
+        for model, e in constants(first):
+            objects.setdefault((id(model), e.table), set()).add(id(e))
+        assert len(constants(first)) > len(objects) and all(len(ids) == 1 for ids in objects.values())
+        assert not {id(e) for _, e in constants(first)} & {id(e) for _, e in constants(second)}

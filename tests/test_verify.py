@@ -2,10 +2,14 @@
 injection turning red, and report determinism."""
 
 import json
+import random
 
 import pytest
+from reference import main_theorem_by_sets
 
-from finforce import posets
+from finforce import fixtures, history, posets
+from finforce.codes import IllFormedComposition
+from finforce.iteration import SimpleIteration
 from finforce.templates import SUBSETS, lattice
 from finforce.verify import (
     CHECKS,
@@ -179,6 +183,34 @@ class TestSharedWork:
         assert rep.checked == 5 ** 5
 
 
+def _one_object_per_value(objects) -> bool:
+    objects = list(objects)
+    return len({id(o) for o in objects}) == len(set(objects))
+
+
+class TestOneObjectPerValue:
+    """After every check has run, each value the checks keep is one object
+    per iteration."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda request: request.getfixturevalue("fsi4_seed7"), id="fsi4_seed7"),
+        pytest.param(lambda request: fixtures.case2_fixture(), id="case2"),
+    ])
+    def test_kept_values_are_shared(self, make, request):
+        it, names = make(request)
+        reports = run_checks(it, names)
+        assert all(r.passed for r in reports)
+        members = [p for table in it._memo[SimpleIteration._member_table].values() for p in table]
+        assert len(set(members)) < len(members)
+        assert _one_object_per_value(members)
+        assert _one_object_per_value(p.domain for p in members)
+        histories = it._memo[history._canonical_history].values()
+        assert len(set(histories)) < len(histories)
+        assert _one_object_per_value(histories)
+        singles = [r for _, r in it._memo[SimpleIteration.member_of_filter] if len(r.entries) == 1]
+        assert singles and _one_object_per_value(singles)
+
+
 class TestSampling:
     def test_generic_cap_triggers_seeded_sample(self, i1, i1_names):
         rep1 = verify_main_theorem(i1.iteration, i1_names, max_generics=8, seed=11)
@@ -225,6 +257,57 @@ class TestMutatedSynthesizer:
         witness = next(f for f in rep.failures if f.kind == "membership-code")
         assert witness.condition and witness.zbar
         assert {witness.expected, witness.actual} == {"True", "False"}
+
+    @pytest.mark.parametrize("make", [lambda: fixtures.i1().iteration, lambda: fixtures.case2_fixture()[0]],
+                             ids=["i1", "case2"])
+    def test_raising_codes_fail_as_the_set_comparison_does(self, make, monkeypatch):
+        """Codes that raise IllFormedComposition at some generics and not
+        others, beside negated and sound ones, give the failures the
+        set-based comparison gives, in its order, on all generics and on a
+        sample; a code's results keep the bools a point at a time gives
+        (False where it raises)."""
+        import finforce.verify as verify_mod
+        from finforce.codes import EAtom, FCode, NotNode, OrNode, eval_code
+        from finforce.history import history_of_condition, restrict_tuple, tuple_space
+        from finforce.synth import synth_E as real_synth_E
+
+        it = make()
+        full = it.template.all_points()
+        position = {p: i for i, p in enumerate(it.build_poset(full).elements)}
+        x = next(x for x in it.template.points if it.assignments[x].kind != "C")
+        model = it.assignments[x].model
+
+        def tampered(it, a, p):
+            code = real_synth_E(it, a, p)
+            if position[p] % 3 == 1:
+                # an evaluation table undecided wherever the code is false
+                table = FCode("value", (((code, model.poset.top),),), model.poset.top)
+                return OrNode((code, EAtom(x, model, table)))
+            return NotNode(code) if position[p] % 3 == 2 else code
+
+        monkeypatch.setattr(verify_mod, "synth_E", tampered)
+        gens = it.enumerate_generics(full)
+        half = len(gens) // 2
+        for kwargs, sample in [({}, gens), ({"seed": 3, "max_generics": half}, random.Random(3).sample(gens, half))]:
+            rep = verify_mod.verify_main_theorem(it, {}, **kwargs)
+            got = [(f.kind, f.condition, f.zbar, f.expected, f.actual) for f in rep.failures]
+            assert got == main_theorem_by_sets(it, tampered, sample)
+            assert {kind for kind, *_ in got} == {"ill-formed-composition", "membership-code"}
+
+        def pointwise(code, pt):
+            try:
+                return eval_code(code, pt)
+            except IllFormedComposition:
+                return False
+
+        raised = 0
+        for p in list(position)[1::3]:
+            code = tampered(it, full, p)
+            points = [restrict_tuple(z, tuple_space(it, history_of_condition(it, full, p))) for z in gens]
+            res = eval_code(code, points)
+            assert res.values == [pointwise(code, pt) for pt in points]
+            raised += bool(res.errors)
+        assert raised
 
     def test_passing_well_definedness_formats_no_condition(self, case2, monkeypatch):
         """Failure labels are formatted only for a comparison that fails."""
