@@ -10,8 +10,10 @@ request), made by `perfbench/inputs.fsi_doc` with seed 7.  Each rung runs `pytho
 at --root (default: this repository) in a fresh child, under a 4 GiB
 address-space limit set on the child only.
 Per rung the helper records the exit code, the wall time, the child's
-peak RSS (``ru_maxrss``), and each check's verdict, work count and
-``timing.seconds`` from the report.  The results are stored under
+peak RSS (``ru_maxrss``), and each check's verdict, work count,
+``timing.seconds`` and ``timing.peak_rss_mb`` (the child's peak RSS once
+the check is done, so the check that sets the rung's peak shows) from the
+report.  The results are stored under
 --label in the JSON file --out, next to what other labels hold there, so
 one file can hold a parent and a change measured on one machine.
 """
@@ -52,6 +54,16 @@ def rungs(max_k: int, directory: str) -> list[tuple[str, str]]:
     return out
 
 
+def check_result(r: dict) -> dict:
+    """One check's verdict, work count, seconds and peak RSS, rounded as
+    the rung's own figures are; a report of a root older than
+    ``timing.peak_rss_mb`` has no peak to record."""
+    out = {"passed": not r["failures"], "checked": r["checked"], "seconds": round(r["timing"]["seconds"], 3)}
+    if "peak_rss_mb" in r["timing"]:
+        out["peak_rss_mb"] = round(r["timing"]["peak_rss_mb"], 1)
+    return out
+
+
 def run_rung(root: str, doc: str, directory: str) -> dict:
     """Verify one document in a child process and read back its report."""
     report = os.path.join(directory, "report.json")
@@ -81,14 +93,7 @@ def run_rung(root: str, doc: str, directory: str) -> dict:
     }
     if os.path.exists(report):
         with open(report, encoding="utf-8") as fh:
-            result["checks"] = {
-                r["check"]: {
-                    "passed": not r["failures"],
-                    "checked": r["checked"],
-                    "seconds": round(r["timing"]["seconds"], 3),
-                }
-                for r in json.load(fh)
-            }
+            result["checks"] = {r["check"]: check_result(r) for r in json.load(fh)}
     else:
         result["output_tail"] = output.strip().splitlines()[-3:]
     return result

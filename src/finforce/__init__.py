@@ -18,6 +18,7 @@ from .templates import (
     validate_template,
 )
 from .posets import (
+    CorrectGroup,
     CorrectSystem,
     FinitePoset,
     admissible_filters_upsets,

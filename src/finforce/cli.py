@@ -1,14 +1,16 @@
 """Command-line front end: validate workbench documents, synthesize codes,
 and run the verification suite.
 
-Exit codes: 0 pass, 1 check or validation failure, 2 parse error,
-3 resource cap exceeded or out of memory in a check.
+Exit codes: 0 pass, 1 check or validation failure, 2 parse or usage
+error (a report path that cannot be written among them), 3 resource cap
+exceeded or out of memory in a check.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache, partial
 
@@ -197,23 +199,33 @@ def cmd_verify(args) -> int:
     if args.max_conditions is not None:
         it.max_conditions = args.max_conditions
     seed = doc.seed if args.seed is None else args.seed
-    reports = []
+    # opened before the checks, so a bad path costs no run; removed if no report comes
+    try:
+        out = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    reports, stopped = [], None
     for check in doc.checks:
         try:
             reports += run_checks(it, doc.names, [check], seed=seed)
         except ResourceCapExceeded as exc:
-            print(f"resource cap exceeded: {exc}", file=sys.stderr)
-            return EXIT_CAP
+            stopped = EXIT_CAP, f"resource cap exceeded: {exc}"
         except MemoryError:
-            print(f"out of memory in check {check}", file=sys.stderr)
-            return EXIT_CAP
+            stopped = EXIT_CAP, f"out of memory in check {check}"
         except IterationError as exc:
-            print(f"error in check {check}: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-    text = _report_text(reports) if args.format == "text" else _report_structured(reports)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            stopped = EXIT_FAIL, f"error in check {check}: {exc}"
+        if stopped:
+            break
+    if out is not None:
+        with out:
+            if not stopped:
+                out.write(_report_text(reports) if args.format == "text" else _report_structured(reports))
+        if stopped:
+            os.remove(args.report)
+    if stopped:
+        print(stopped[1], file=sys.stderr)
+        return stopped[0]
     for r in reports:
         print(r.summary())
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL

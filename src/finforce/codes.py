@@ -8,7 +8,9 @@ output coordinate, the value paired with the unique member code that holds
 (points where zero or several hold are outside the table's domain D and
 take the default).
 
-Synthesized codes share sub-codes, so a code is a DAG.  Evaluation runs
+Synthesized codes share sub-codes, so a code is a DAG: `synth` keeps one
+object per node value, and the nodes it keys its memos on (`AndNode`,
+`EAtom`) hash once, so a lookup reads no subtree.  Evaluation runs
 over a `Batch` of tuple-space points and visits each distinct node once
 per batch: a node's value is a bit vector over the points, connectives are
 bitwise operations, a bit-atom is one column of the points, and an E-atom
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .history import TuplePoint
+from .iteration import _hash_once
 from .models import BorelPosetModel
 from .templates import Point
 
@@ -48,6 +51,7 @@ class TrueNode:
         return "(true)"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class AndNode:
     children: tuple
@@ -83,6 +87,7 @@ class BitAtom:
         return f"(bit {self.point} {self.xi})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class EAtom:
     """E_x(z_x, v) where v is produced by a condition-valued FCode."""

@@ -698,8 +698,13 @@ class SimpleIteration:
     def _extension(self, r: Condition, x: Point, e: Entry) -> Condition:
         """r with the entry e at x, a point above its domain: one object per
         condition of this iteration, whichever table asks for it, with one
-        domain object per point set (`_domain_with`)."""
-        return r.extended(x, e, self._domain_with(r.domain, x))
+        domain object per point set (`_domain_with`).  It keeps its sort
+        key (`_condition_key`), made from r's, beside ``_rest``; neither is
+        pickled."""
+        p = r.extended(x, e, self._domain_with(r.domain, x))
+        size, key = self._condition_key(r)
+        p.__dict__["_key"] = (size + 1, key + ((self.rank[x], entry_sort_key(e)),))
+        return p
 
     @memoized
     def _domain_with(self, domain: frozenset, x: Point) -> frozenset:
@@ -708,10 +713,11 @@ class SimpleIteration:
         return domain | {x}
 
     def _condition_key(self, p: Condition):
-        return (
-            len(p.entries),
-            tuple((self.rank[x], entry_sort_key(e)) for x, e in p.entries),
-        )
+        """The canonical order: by size, then rank and entry at each point."""
+        key = p.__dict__.get("_key")
+        if key is None:
+            key = (len(p.entries), tuple((self.rank[x], entry_sort_key(e)) for x, e in p.entries))
+        return key
 
     @memoized
     def build_poset(self, a: Subset) -> FinitePoset:
@@ -745,30 +751,39 @@ class SimpleIteration:
         """
         rank = self.rank
         n = len(elems)
-        domains: dict[tuple[int, ...], int] = {}
-        domain_of = [domains.setdefault(tuple(rank[y] for y, _ in p.entries), len(domains)) for p in elems]
+        domains: dict[frozenset, int] = {}
+        domain_of = [domains.setdefault(p.domain, len(domains)) for p in elems]
         # table[d, y]: the d-th distinct domain holds point y
         table = np.zeros((len(domains), len(rank)), dtype=bool)
-        for d, ranks in enumerate(domains):
-            table[d, list(ranks)] = True
+        for d, domain in enumerate(domains):
+            table[d, [rank[y] for y in domain]] = True
         holds = np.ascontiguousarray(table[domain_of].T)
         # column j: the AND of the rows of holders of each point of dom p_j
         everyone = pack_rows(np.ones((1, n), dtype=bool))
         held = np.where(table[:, :, None], pack_rows(holds)[None], everyone)
         cols = np.bitwise_and.reduce(held, axis=1)[domain_of]
+        # per point x, the members holding x with their restrictions below x
+        # and entries at x, read off each member's `_rest` chain once (the
+        # elements are table members, `_extension`s of the empty condition)
+        stages: dict[Point, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+        for i, q in enumerate(elems):
+            while q.entries:
+                x, e = q.entries[-1]
+                rows, rests, ents = stages[x]
+                q = q._rest
+                rows.append(i)
+                rests.append(q)
+                ents.append(e)
         for x in self.points_of(a):
-            has = np.flatnonzero(holds[rank[x]])
-            if not len(has):
+            if x not in stages:
                 continue
+            has, rests, ents = stages.pop(x)
             below = self.past_in(a, x)
             gens = self.enumerate_generics(below)
             restrictions: dict[Condition, int] = {}
             entries: dict[Entry, int] = {}
-            r_idx, e_idx = [], []
-            for i in has:
-                q = elems[i]
-                r_idx.append(restrictions.setdefault(q.before(x, rank), len(restrictions)))
-                e_idx.append(entries.setdefault(q.get(x), len(entries)))
+            r_idx = [restrictions.setdefault(r, len(restrictions)) for r in rests]
+            e_idx = [entries.setdefault(e, len(entries)) for e in ents]
             filt = self.filter_table(gens, list(restrictions))
             carried = np.zeros((len(entries), len(gens)), dtype=bool)
             for r, e in set(zip(r_idx, e_idx)):

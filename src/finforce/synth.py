@@ -9,7 +9,8 @@ it does not, the construction delegates to the first of the strictly
 smaller admissible sets (`case2_contexts`).  A nonempty finite set always
 has a maximum, so the no-maximum case degenerates to the empty set.  Each
 step is memoized per (A, p), so a code reuses the codes of the smaller
-sets it recurses to and equal sub-codes are one object.  The code of p
+sets it recurses to, and equal codes, atoms and evaluation functions are
+one object (`_atom`, `_conjunct`, `_real_fcode`).  The code of p
 over another admissible target A' is `synth_E` over A' itself: a deeper
 set is a strict subset of A' and never offers A' again.
 
@@ -78,16 +79,25 @@ def _factorize(it: SimpleIteration, a: Subset, x: Point, p: Condition):
     past = it.past_in(a, x)
     if x not in p.domain:
         return _code(it, past, p)
-    rest = p.before(x, it.rank)
-    sub = _code(it, past, rest)
-    entry = p.get(x)
+    return _conjunct(it, _code(it, past, p.before(x, it.rank)), _atom(it, x, p.get(x)))
+
+
+@memoized
+def _atom(it: SimpleIteration, x: Point, entry):
+    """The conjunct that decides the entry at x: one object per (x, entry)."""
     asg = it.assignments[x]
     if asg.kind == "C":
-        atom = BitAtom(x, int(entry))
-    elif entry is TRIV:
-        atom = TRUE
-    else:
-        atom = EAtom(x, asg.model, entry_fcode(it, x, entry))
+        return BitAtom(x, int(entry))
+    if entry is TRIV:
+        return TRUE
+    return EAtom(x, asg.model, entry_fcode(it, x, entry))
+
+
+@memoized
+def _conjunct(it: SimpleIteration, sub, atom) -> AndNode:
+    """The conjunction of the code of the past with an atom: one object per
+    value, since its parts are one object per value already and every code
+    hashes once, so equal codes of p over different A are one object."""
     return AndNode((sub, atom))
 
 
@@ -106,11 +116,13 @@ def entry_fcode(it: SimpleIteration, x: Point, entry: DecisionTableName) -> FCod
 def synth_F(it: SimpleIteration, a: Subset, name: RealName) -> FCode:
     """The evaluation function of a name: per coordinate, the antichain's
     member codes paired with the decided values; 0 outside the domain."""
-    coords = []
-    for antichain, values in zip(name.antichains, name.values):
-        table = []
-        for member, value in zip(antichain, values):
-            table.append((synth_E(it, a, member), int(value)))
-        coords.append(tuple(table))
-    return FCode(target="real", coords=tuple(coords), default=0)
+    return _real_fcode(it, tuple(
+        tuple((synth_E(it, a, member), int(value)) for member, value in zip(antichain, values))
+        for antichain, values in zip(name.antichains, name.values)
+    ))
 
+
+@memoized
+def _real_fcode(it: SimpleIteration, coords: tuple) -> FCode:
+    """The evaluation function with these case tables: one object per value."""
+    return FCode(target="real", coords=coords, default=0)

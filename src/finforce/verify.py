@@ -13,13 +13,17 @@ Every check takes ``(it, names=None, seed=0)``; a check that reads no names
 or draws no sample ignores those arguments.  The subsets, nested pairs and
 correct systems the checks sweep all come from `templates.lattice`, in the
 canonical subset order.  `run_checks` is the one timer: it sets each
-report's ``seconds`` (``timing`` in JSON) around the check it runs.
+report's ``seconds`` around the check it runs, and ``peak_rss_mb``, the
+process's peak resident set (``ru_maxrss``) once the check is done; both
+are ``timing`` in JSON.
 """
 
 from __future__ import annotations
 
 import random
+import resource
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -42,7 +46,7 @@ from .iteration import (
 )
 from .models import check_nice_subposet
 from .names import RealName
-from .posets import CorrectSystem, check_correct_system
+from .posets import CorrectGroup, check_correct_system
 from .synth import case2_contexts, synth_E, synth_F
 from .templates import CORRECT_SYSTEMS, NESTED_PAIRS, SUBSETS, Subset, lattice
 
@@ -78,6 +82,7 @@ class Report:
     names: int = 0
     failures: list[Failure] = field(default_factory=list)
     seconds: float = 0.0
+    peak_rss_mb: float = 0.0
     sampled: bool = False
 
     @property
@@ -92,7 +97,7 @@ class Report:
             "names": self.names,
             "sampled": self.sampled,
             "failures": [f.to_json() for f in sorted(self.failures, key=Failure.sort_key)],
-            "timing": {"seconds": self.seconds},
+            "timing": {"seconds": self.seconds, "peak_rss_mb": self.peak_rss_mb},
         }
 
     def summary(self) -> str:
@@ -293,8 +298,8 @@ def _compare_with(reference, batch: Batch, evaluate):
     ``reference`` evaluate differently, or None.  ``evaluate(code, batch)``
     gives a code's values over the whole batch; the reference is evaluated
     once, when anything else is first compared with it, and never against
-    itself (the memoized ``synth_E`` hands back the reference object when
-    A = K)."""
+    itself: `synth` keeps one object per code value, so a code equal to
+    the reference is the reference."""
     seen: list = []
 
     def first_difference(code):
@@ -416,17 +421,24 @@ def verify_nice_and_correct(
                     Failure("nice-subposet", str(member), f"table at {x}", "", "", str(pr))
                 )
     built = {a: it.build_poset(a) for a in _subsets(it)}
+    # the systems checked in one call per nested pair A0 <= B1
+    groups: dict[tuple[Subset, Subset], list[tuple[Subset, Subset]]] = defaultdict(list)
     for a0, a1, b0, b1 in lattice(it.template.points, CORRECT_SYSTEMS):
-        rep.checked += 1
-        res = check_correct_system(CorrectSystem(built[a0], built[a1], built[b0], built[b1]))
-        if not res.ok:
-            rep.failures.append(
-                Failure(
-                    "correct-system", "", "",
-                    f"A0={sorted(a0)} A1={sorted(a1)} B0={sorted(b0)} B1={sorted(b1)}",
-                    "correct", str(res.failures[:3]),
+        groups[a0, b1].append((a1, b0))
+    for (a0, b1), systems in groups.items():
+        rep.checked += len(systems)
+        reports = check_correct_system(
+            CorrectGroup(built[a0], built[b1], [(built[a1], built[b0]) for a1, b0 in systems])
+        )
+        for (a1, b0), res in zip(systems, reports):
+            if not res.ok:
+                rep.failures.append(
+                    Failure(
+                        "correct-system", "", "",
+                        f"A0={sorted(a0)} A1={sorted(a1)} B0={sorted(b0)} B1={sorted(b1)}",
+                        "correct", str(res.failures[:3]),
+                    )
                 )
-            )
     return rep
 
 
@@ -450,4 +462,5 @@ def run_checks(
         t0 = time.perf_counter()
         reports.append(CHECKS[check](it, names, seed))
         reports[-1].seconds = time.perf_counter() - t0
+        reports[-1].peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     return reports

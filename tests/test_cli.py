@@ -406,6 +406,24 @@ class TestVerify:
         ])
         assert code == 3
 
+    def test_run_without_report_leaves_no_file(self, tmp_path, i1_doc):
+        """A run stopped by a cap writes no report, and no empty file."""
+        report = tmp_path / "report.json"
+        assert main(["verify", "--doc", i1_doc, "--max-conditions", "5", "--report", str(report)]) == 3
+        assert not report.exists()
+
+    def test_unwritable_report_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        """A report path that cannot be opened ends the run before any
+        check, with exit 2 and one line, not a traceback after the run."""
+        ran = []
+        monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: ran.append(args) or [])
+        report = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--doc", doc_path("fsi2_cc.json"), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and "Traceback" not in err
+        assert str(report) in err and err.count("\n") == 1
+        assert not ran and not report.exists()
+
     @pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "0"], 0), (["--seed", "3"], 3)])
     def test_seed_flag_overrides_the_document(self, monkeypatch, argv, seed):
         """Every shipped document has seed 7; an explicit --seed, 0 too, wins."""

@@ -681,23 +681,26 @@ class TestCachedHashes:
 
     def test_hash_stays_out_of_pickled_state(self):
         """Neither the cached hash and domain nor a table member's
-        restriction pointer is pickled; an unpickled member cuts afresh."""
+        restriction pointer and sort key is pickled; an unpickled member
+        cuts afresh and computes its key."""
         cond, _, _ = objs = _hashed_objects()
         it = fixtures.i1().iteration
         member = it.members(it.template.all_points())[-1]
         assert "_rest" in vars(member) and len(member.entries) == 3
+        assert vars(member)["_key"] == it._condition_key(Condition(member.entries))
         for c in (cond, member):
             assert c.domain == {"a", "b", "c"} and "domain" in vars(c)
         for obj in objs + (member,):
             hash(obj)
             assert "_hash" in vars(obj)
             state = obj.__reduce_ex__(2)[2]
-            assert "_hash" not in state and "domain" not in state and "_rest" not in state
+            assert not {"_hash", "domain", "_rest", "_key"} & set(state)
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and hash(copy) == hash(obj)
         copy = pickle.loads(pickle.dumps(member))
-        assert "_rest" not in vars(copy)
+        assert "_rest" not in vars(copy) and "_key" not in vars(copy)
         assert copy.before("c", it.rank) == member.before("c", it.rank)
+        assert it._condition_key(copy) == it._condition_key(member)
 
     def test_unpickled_in_another_process_hash_as_built_here(self):
         """String hashes differ between processes; an object pickled by a

@@ -5,6 +5,7 @@ import gc
 import tracemalloc
 import weakref
 from collections import defaultdict
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from finforce import fixtures, posets
 from finforce.iteration import EMPTY_CONDITION
 from finforce.models import cohen, ed
 from finforce.posets import (
+    CorrectGroup,
     CorrectSystem,
     FinitePoset,
     _embedding,
@@ -395,12 +397,66 @@ def test_persistence_matches_is_reduction(s):
     rep = check_correct_system(s)
     pairs = ((s.p0, s.p1), (s.p0, s.q0), (s.p1, s.q1), (s.q0, s.q1))
     assume(all(check_complete_embedding_posets(sub, sup).ok for sub, sup in pairs))
-    expected = [
+    assert rep.failures == _brute_force_failures(s)
+
+
+def _brute_force_failures(s: CorrectSystem) -> list[tuple]:
+    """The failures of one system: those of its four embeddings, tagged,
+    else the first 8 pairs (p, q) of P0 x Q0, in row-major order, where p
+    reduces q within <P0, Q0> but not within <P1, Q1> (`is_reduction`)."""
+    pairs = {"P0<P1": (s.p0, s.p1), "P0<Q0": (s.p0, s.q0), "P1<Q1": (s.p1, s.q1), "Q0<Q1": (s.q0, s.q1)}
+    failures = [(tag,) + f for tag, (a, b) in pairs.items() for f in check_complete_embedding_posets(a, b).failures]
+    if failures:
+        return failures
+    return [
         ("reduction-not-persistent", p, q)
         for p in s.p0.elements for q in s.q0.elements
         if is_reduction(s.p0, s.q0, p, q) and not is_reduction(s.p1, s.q1, p, q)
-    ]
-    assert rep.failures == expected[:8]
+    ][:8]
+
+
+@st.composite
+def group_strategy(draw):
+    """A random Q1 with several P1 and several Q0 over one P0: the P1 and
+    Q0 of a drawn system (`system_strategy`) and up to two more of each,
+    restrictions of Q1 that hold P0, paired every way in a drawn order."""
+    s = draw(system_strategy())
+
+    def more():
+        keep = draw(st.lists(st.booleans(), min_size=len(s.q1), max_size=len(s.q1)))
+        return s.q1.restrict([e for e, k in zip(s.q1.elements, keep) if k or e in s.p0])
+
+    p1s = [s.p1] + [more() for _ in range(draw(st.integers(0, 2)))]
+    q0s = [s.q0] + [more() for _ in range(draw(st.integers(0, 2)))]
+    return CorrectGroup(s.p0, s.q1, draw(st.permutations([(p1, q0) for p1 in p1s for q0 in q0s])))
+
+
+def persistence_group() -> CorrectGroup:
+    """`persistence_system` among systems that pass: its P1 and its Q0
+    each paired with P0 as well, and P0 with P0."""
+    s = persistence_system()
+    return CorrectGroup(s.p0, s.q1, [(p1, q0) for p1 in (s.p0, s.p1) for q0 in (s.q0, s.p0)])
+
+
+def test_one_broken_system_among_passing_ones():
+    reports = check_correct_system(persistence_group())
+    assert [r.ok for r in reports] == [True, True, False, True]
+    assert reports[2].failures == TestSharedEmbeddings.EXPECTED
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_strategy())
+@example(persistence_group())
+def test_group_matches_one_system_brute_force(group):
+    """A group call gives each of its systems the verdict and failures of
+    that system alone, by the brute force of `_brute_force_failures`, in
+    one block and in blocks of one row of P0 or one system."""
+    expected = [_brute_force_failures(CorrectSystem(group.p0, p1, q0, group.q1)) for p1, q0 in group.systems]
+    for block_words in (1, posets._BLOCK_WORDS):
+        with patch.object(posets, "_BLOCK_WORDS", block_words):
+            reports = check_correct_system(group)
+        assert [r.failures for r in reports] == expected
+        assert [r.ok for r in reports] == [not e for e in expected]
 
 
 # ---------------------------------------------------------------------------

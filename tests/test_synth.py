@@ -25,6 +25,7 @@ from finforce.history import (
 from finforce.iteration import EMPTY_CONDITION, SimpleIteration, const_name, realize_filter
 from finforce.names import RealName
 from finforce.synth import case2_contexts, synth_E, synth_F
+from finforce import verify
 from finforce.templates import SUBSETS, full_powerset_template, lattice
 from reference import free_components_fcode, w_of
 
@@ -153,6 +154,34 @@ class TestSharing:
             node_objects(synth_E(it, full, p), nodes)
         assert len(members) == 1024
         assert len(nodes) <= 1706
+
+
+    @pytest.mark.parametrize("fixture", ["case2", "fsi3"])
+    def test_equal_codes_are_one_object(self, fixture, request, monkeypatch):
+        """The codes of one condition over different A that are equal are
+        one object, as are equal evaluation functions of a name, so
+        well_definedness evaluates no code that equals its reference: the
+        identity test of `verify._compare_with` skips it."""
+        it, names = request.getfixturevalue(fixture)
+        for small, bigger in verify._supersets(it):
+            for q in it.members(small):
+                codes = [synth_E(it, a, q) for a in bigger]
+                assert len({id(code) for code in codes}) == len(set(codes))
+        equal_copies = []
+        compare_with = verify._compare_with
+
+        def spy(reference, batch, evaluate):
+            first_difference = compare_with(reference, batch, evaluate)
+
+            def compare(code):
+                equal_copies.append(code == reference and code is not reference)
+                return first_difference(code)
+
+            return compare
+
+        monkeypatch.setattr(verify, "_compare_with", spy)
+        assert verify.verify_well_definedness(it, names).passed
+        assert equal_copies and not any(equal_copies)
 
 
 class TestSynthF:

@@ -71,6 +71,8 @@ class TestReports:
         assert js["failures"] == []
         assert isinstance(js["timing"]["seconds"], float)
         assert js["timing"]["seconds"] > 0  # run_checks times the check
+        assert isinstance(js["timing"]["peak_rss_mb"], float)
+        assert js["timing"]["peak_rss_mb"] > 0  # and reads the peak RSS after it
 
     def test_determinism_modulo_timing(self, i1, i1_names):
         first = [r.to_json() for r in run_checks(i1.iteration, i1_names)]
