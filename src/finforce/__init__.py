@@ -21,6 +21,7 @@ from .posets import (
     CorrectGroup,
     CorrectSystem,
     FinitePoset,
+    GroupedSystem,
     admissible_filters_upsets,
     check_complete_embedding_posets,
     check_correct_system,

@@ -199,29 +199,35 @@ def cmd_verify(args) -> int:
     if args.max_conditions is not None:
         it.max_conditions = args.max_conditions
     seed = doc.seed if args.seed is None else args.seed
-    # opened before the checks, so a bad path costs no run; removed if no report comes
+    # opened before the checks, without truncating, so a bad path costs no
+    # run; written once they all finish, and a file this run made is
+    # removed if no report comes
+    created = bool(args.report) and not os.path.exists(args.report)
     try:
-        out = open(args.report, "w", encoding="utf-8") if args.report else None
+        if args.report:
+            open(args.report, "a", encoding="utf-8").close()
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    reports, stopped = [], None
-    for check in doc.checks:
-        try:
-            reports += run_checks(it, doc.names, [check], seed=seed)
-        except ResourceCapExceeded as exc:
-            stopped = EXIT_CAP, f"resource cap exceeded: {exc}"
-        except MemoryError:
-            stopped = EXIT_CAP, f"out of memory in check {check}"
-        except IterationError as exc:
-            stopped = EXIT_FAIL, f"error in check {check}: {exc}"
-        if stopped:
-            break
-    if out is not None:
-        with out:
-            if not stopped:
-                out.write(_report_text(reports) if args.format == "text" else _report_structured(reports))
-        if stopped:
+    reports, stopped, written = [], None, False
+    try:
+        for check in doc.checks:
+            try:
+                reports += run_checks(it, doc.names, [check], seed=seed)
+            except ResourceCapExceeded as exc:
+                stopped = EXIT_CAP, f"resource cap exceeded: {exc}"
+            except MemoryError:
+                stopped = EXIT_CAP, f"out of memory in check {check}"
+            except IterationError as exc:
+                stopped = EXIT_FAIL, f"error in check {check}: {exc}"
+            if stopped:
+                break
+        if args.report and not stopped:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(_report_text(reports) if args.format == "text" else _report_structured(reports))
+            written = True
+    finally:
+        if created and not written:
             os.remove(args.report)
     if stopped:
         print(stopped[1], file=sys.stderr)

@@ -39,9 +39,8 @@ kernel touches n / 8 bytes per selected row:
   such pair;
 - correct systems, a group per nested pair P0 <= Q1: per P1, the rows of
   P0 of two reduction matrices ORed into one row, 2 * |P0| * |Q1| / 8
-  bytes; per Q0, one mask of Q1; per system, one AND of a row and a mask,
-  |Q1| / 8 bytes.  On the FSI ladder each matrix is read at 25^k / 64
-  words over all groups, against 29^k / 64 when each system gathered its own.
+  bytes, then ANDed with the masks in Q1 of its Q0s at once, |Q1| / 8
+  bytes per system.  On the FSI ladder the groups read 25^k / 64 words.
 Every kernel works in blocks that hold at most min(the words of the
 table it reads, `_BLOCK_WORDS`) words (`_budget`): the rows one block of
 `_reduce_rows` gathers, the mask rows it unpacks to list them, and the
@@ -562,23 +561,45 @@ class CorrectSystem:
     q1: FinitePoset
 
 
-class CorrectGroup(NamedTuple):
+class CorrectGroup:
     """The correct systems over one nested pair P0 <= Q1: system s is
-    <p0, P1, Q0, q1> for (P1, Q0) = systems[s]."""
+    <p0, P1, Q0, q1> for (P1, Q0) = systems[s].  Their reports are made
+    together, at the first `check_correct_system` of any of them, and
+    kept as long as the group."""
 
-    p0: FinitePoset
-    q1: FinitePoset
-    systems: Sequence[tuple[FinitePoset, FinitePoset]]
+    __slots__ = ("p0", "q1", "systems", "reports")
+
+    def __init__(self, p0: FinitePoset, q1: FinitePoset, systems: Sequence[tuple[FinitePoset, FinitePoset]]):
+        self.p0, self.q1, self.systems = p0, q1, systems
+        self.reports: list[EmbeddingReport] | None = None
+
+
+class GroupedSystem(NamedTuple):
+    """System ``index`` of ``group``."""
+
+    group: CorrectGroup
+    index: int
 
 
 _CORRECT = EmbeddingReport(True, [])  # shared by every correct system; never mutated
 
 
-def check_correct_system(s: CorrectSystem | CorrectGroup) -> EmbeddingReport | list[EmbeddingReport]:
+def check_correct_system(s: CorrectSystem | GroupedSystem) -> EmbeddingReport:
     """Brute-force the correctness property: the four inclusions are complete
     embeddings, and each reduction within <P0, Q0> persists for <P1, Q1>.
-    A `CorrectSystem` gets its report, a `CorrectGroup` one report per
-    system in its order; a system is the group of one.
+    A `GroupedSystem` reads its group's reports, made for every system of
+    the group at once (`_group_reports`); a `CorrectSystem` is the group
+    of one."""
+    if isinstance(s, CorrectSystem):
+        s = GroupedSystem(CorrectGroup(s.p0, s.q1, [(s.p1, s.q0)]), 0)
+    group, index = s
+    if group.reports is None:
+        group.reports = _group_reports(group)
+    return group.reports[index]
+
+
+def _group_reports(g: CorrectGroup) -> list[EmbeddingReport]:
+    """The report of each system of a group, in its order.
 
     Everything comes from the per-pair cache: the four embedding verdicts,
     the index maps P0 -> P1 and Q0 -> Q1, and the reduction matrices of
@@ -589,59 +610,42 @@ def check_correct_system(s: CorrectSystem | CorrectGroup) -> EmbeddingReport | l
     complete ones, so its entry holds a reduction matrix.  So a system is
     broken exactly when the OR over the rows of P0 of the P0 < Q1
     reductions that P1 < Q1 lacks meets the mask of Q0 in Q1: a group
-    looks up each pair once, forms one such row per P1, a block of rows
-    of P0 at a time, and one mask per Q0, and ANDs each system's row and
-    mask, a block of systems at a time.  The witnesses are read in
-    P0 x Q0 order only for a broken system."""
-    if isinstance(s, CorrectSystem):
-        return check_correct_system(CorrectGroup(s.p0, s.q1, [(s.p1, s.q0)]))[0]
-    p0, q1, systems = s
+    looks up each pair once, forms one such row per P1 and one mask per
+    Q0, and ANDs each P1's row with the masks of its Q0s at once.  The
+    witnesses are read in P0 x Q0 order only for a broken system."""
+    p0, q1, systems = g.p0, g.q1, g.systems
     p1s, q0s = zip(*systems)
     below = {p1: (_embedding(p0, p1), _embedding(p1, q1)) for p1 in dict.fromkeys(p1s)}
     above = {q0: (_embedding(p0, q0), _embedding(q0, q1)) for q0 in dict.fromkeys(q0s)}
     reports = [_CORRECT] * len(systems)
-    # the row of each P1 and the mask of each Q0 of a system whose four
-    # pairs are complete, and (system index, row, mask) per such system
-    row_of: dict[FinitePoset, int] = {}
+    # per P1 the systems whose four pairs are complete; nothing is lost where P1 is P0
+    complete: dict[FinitePoset, list[int]] = {}
     mask_of: dict[FinitePoset, int] = {}
-    complete = []
     for system, (p1, q0) in enumerate(systems):
         (p0_p1, p1_q1), (p0_q0, q0_q1) = below[p1], above[q0]
-        if p0_p1[0].ok and p0_q0[0].ok and p1_q1[0].ok and q0_q1[0].ok:
-            complete.append((system, row_of.setdefault(p1, len(row_of)), mask_of.setdefault(q0, len(mask_of))))
-        else:
+        if not (p0_p1[0].ok and p0_q0[0].ok and p1_q1[0].ok and q0_q1[0].ok):
             pairs = zip(("P0<P1", "P0<Q0", "P1<Q1", "Q0<Q1"), (p0_p1, p0_q0, p1_q1, q0_q1))
             reports[system] = EmbeddingReport(False, [(tag,) + f for tag, (rep, _, _) in pairs for f in rep.failures])
+        elif p1 is not p0:
+            complete.setdefault(p1, []).append(system)
+            mask_of.setdefault(q0, len(mask_of))
     if not complete:
         return reports
     red = _embedding(p0, q1)[2]
-    # every temporary holds a block: `_budget` words of rows of P0, or of systems
-    step = max(_budget(red) // red.shape[1], 1)
-
-    def lost(p1, lo, hi):
-        """The reductions of P0 in Q1 that P1 < Q1 does not keep, at rows lo:hi of P0."""
-        (_, ids, _), (_, _, red1) = below[p1]
-        return red[lo:hi] & ~red1[ids[lo:hi]]
-
-    # per P1 the OR of its lost rows; nothing is lost where P1 is P0
-    rows = np.zeros((len(row_of), red.shape[1]), np.uint64)
-    for r, p1 in enumerate(row_of):
-        if p1 is not p0:
-            for lo in range(0, len(p0), step):
-                rows[r] |= np.bitwise_or.reduce(lost(p1, lo, lo + step), axis=0)
     # per Q0 its mask in Q1, set bit by bit
     q0_ids = [above[q0][1][1] for q0 in mask_of]
     cols = np.concatenate(q0_ids)
     masks = np.zeros((len(q0_ids), red.shape[1]), np.uint64)
     np.bitwise_or.at(masks, (np.repeat(np.arange(len(q0_ids)), [len(i) for i in q0_ids]), cols >> 6),
                      np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
-    # a system is broken when its row meets its mask
-    _, at_row, at_mask = np.array(complete).T
-    broken = np.concatenate([(rows[at_row[lo:lo + step]] & masks[at_mask[lo:lo + step]]).any(axis=1)
-                             for lo in range(0, len(complete), step)])
-    p1_at, q0_at = list(row_of), list(mask_of)
-    for system, r, m in map(complete.__getitem__, np.flatnonzero(broken)):
-        cells = _first_cells(len(p0), step, lambda lo, hi: _cells(lost(p1_at[r], lo, hi), q0_ids[m]))
-        reports[system] = EmbeddingReport(False, [("reduction-not-persistent", p0.elements[i], q0_at[m].elements[j])
-                                                  for i, j in cells])
+    for p1, at in complete.items():
+        (_, ids, _), (_, _, red1) = below[p1]
+        lost = red & ~red1[ids]  # the reductions of P0 in Q1 that P1 < Q1 does not keep
+        m = [mask_of[systems[system][1]] for system in at]
+        for system, broken in zip(at, (masks[m] & np.bitwise_or.reduce(lost, axis=0)).any(axis=1)):
+            if broken:
+                q0 = systems[system][1]
+                reports[system] = EmbeddingReport(False, [
+                    ("reduction-not-persistent", p0.elements[i], q0.elements[j])
+                    for i, j in np.argwhere(_cells(lost, above[q0][1][1]))[:8]])
     return reports

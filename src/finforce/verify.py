@@ -46,7 +46,7 @@ from .iteration import (
 )
 from .models import check_nice_subposet
 from .names import RealName
-from .posets import CorrectGroup, check_correct_system
+from .posets import CorrectGroup, GroupedSystem, check_correct_system
 from .synth import case2_contexts, synth_E, synth_F
 from .templates import CORRECT_SYSTEMS, NESTED_PAIRS, SUBSETS, Subset, lattice
 
@@ -421,16 +421,15 @@ def verify_nice_and_correct(
                     Failure("nice-subposet", str(member), f"table at {x}", "", "", str(pr))
                 )
     built = {a: it.build_poset(a) for a in _subsets(it)}
-    # the systems checked in one call per nested pair A0 <= B1
+    # the systems per nested pair A0 <= B1, whose group checks them together
     groups: dict[tuple[Subset, Subset], list[tuple[Subset, Subset]]] = defaultdict(list)
     for a0, a1, b0, b1 in lattice(it.template.points, CORRECT_SYSTEMS):
         groups[a0, b1].append((a1, b0))
     for (a0, b1), systems in groups.items():
         rep.checked += len(systems)
-        reports = check_correct_system(
-            CorrectGroup(built[a0], built[b1], [(built[a1], built[b0]) for a1, b0 in systems])
-        )
-        for (a1, b0), res in zip(systems, reports):
+        group = CorrectGroup(built[a0], built[b1], [(built[a1], built[b0]) for a1, b0 in systems])
+        for s, (a1, b0) in enumerate(systems):
+            res = check_correct_system(GroupedSystem(group, s))
             if not res.ok:
                 rep.failures.append(
                     Failure(

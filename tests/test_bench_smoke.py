@@ -40,8 +40,7 @@ def test_traced_run_wraps_every_entry_point():
     """A traced run wraps every entry point the benchmark's tracer names
     before any work, so an entry point deleted or renamed fails here and
     not only in the benchmark's own tests.  fsi4_full reaches the subset
-    lattice checks: 5^4 correct systems in 3^4 calls, one per nested pair
-    (P0, Q1)."""
+    lattice checks: 5^4 correct systems."""
     out = subprocess.run(
         [sys.executable, RUN, "--workload", "fsi4_full", "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
@@ -50,7 +49,7 @@ def test_traced_run_wraps_every_entry_point():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, out.stdout[-2000:]
     assert result["failed"] == 0
-    assert result["metrics"]["posets.check_correct_system.calls"]["value"] == 3 ** 4
+    assert result["metrics"]["posets.check_correct_system.calls"]["value"] == 5 ** 4
 
 
 LADDER = os.path.join(ROOT, "scripts", "ladder.py")

@@ -412,6 +412,14 @@ class TestVerify:
         assert main(["verify", "--doc", i1_doc, "--max-conditions", "5", "--report", str(report)]) == 3
         assert not report.exists()
 
+    def test_run_without_report_keeps_an_earlier_file(self, tmp_path, i1_doc):
+        """A run stopped by a cap leaves a file already at the report path
+        as it was: it is neither truncated nor removed."""
+        report = tmp_path / "report.json"
+        report.write_text("earlier report\n")
+        assert main(["verify", "--doc", i1_doc, "--max-conditions", "5", "--report", str(report)]) == 3
+        assert report.read_text() == "earlier report\n"
+
     def test_unwritable_report_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         """A report path that cannot be opened ends the run before any
         check, with exit 2 and one line, not a traceback after the run."""

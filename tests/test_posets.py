@@ -5,7 +5,6 @@ import gc
 import tracemalloc
 import weakref
 from collections import defaultdict
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from finforce.posets import (
     CorrectGroup,
     CorrectSystem,
     FinitePoset,
+    GroupedSystem,
     _embedding,
     admissible_filters_upsets,
     check_complete_embedding_posets,
@@ -438,25 +438,40 @@ def persistence_group() -> CorrectGroup:
     return CorrectGroup(s.p0, s.q1, [(p1, q0) for p1 in (s.p0, s.p1) for q0 in (s.q0, s.p0)])
 
 
+def two_p1_group() -> CorrectGroup:
+    """Q1 on {0..4}: 0 on top, 1 below it, 2 and 3 below 1, 4 below 3, and
+    P0 = {0}.  0 reduces 2 and 3 within <P0, Q0> for Q0 = {0, 2, 3}.
+    With P1 = {0, 2, 3} both are lost, since 2 and 3 both extend 0 in P1
+    and are incompatible; with P1 = {0, 1} neither is.  The broken P1
+    comes first, so a P1 that read another's lost reductions would fail
+    the second system too."""
+    q1 = FinitePoset.from_relation(range(5), [(2, 1), (3, 1), (4, 1), (4, 3)] + [(e, 0) for e in range(5)], top=0)
+    q0 = q1.restrict({0, 2, 3})
+    return CorrectGroup(q1.restrict({0}), q1, [(q1.restrict({0, 2, 3}), q0), (q1.restrict({0, 1}), q0)])
+
+
+def _reports_of(group: CorrectGroup) -> list:
+    return [check_correct_system(GroupedSystem(group, s)) for s in range(len(group.systems))]
+
+
 def test_one_broken_system_among_passing_ones():
-    reports = check_correct_system(persistence_group())
+    reports = _reports_of(persistence_group())
     assert [r.ok for r in reports] == [True, True, False, True]
     assert reports[2].failures == TestSharedEmbeddings.EXPECTED
+    assert [r.ok for r in _reports_of(two_p1_group())] == [False, True]
 
 
 @settings(max_examples=100, deadline=None)
 @given(group_strategy())
 @example(persistence_group())
+@example(two_p1_group())
 def test_group_matches_one_system_brute_force(group):
-    """A group call gives each of its systems the verdict and failures of
-    that system alone, by the brute force of `_brute_force_failures`, in
-    one block and in blocks of one row of P0 or one system."""
+    """The systems of a group get the verdict and failures of each system
+    alone, by the brute force of `_brute_force_failures`."""
     expected = [_brute_force_failures(CorrectSystem(group.p0, p1, q0, group.q1)) for p1, q0 in group.systems]
-    for block_words in (1, posets._BLOCK_WORDS):
-        with patch.object(posets, "_BLOCK_WORDS", block_words):
-            reports = check_correct_system(group)
-        assert [r.failures for r in reports] == expected
-        assert [r.ok for r in reports] == [not e for e in expected]
+    reports = _reports_of(group)
+    assert [r.failures for r in reports] == expected
+    assert [r.ok for r in reports] == [not e for e in expected]
 
 
 # ---------------------------------------------------------------------------
